@@ -28,6 +28,8 @@
 # mixed healthy/poison batch, one worker SIGKILLed mid-run) loses a
 # request, fails to respawn the killed worker, or fails to drain, or
 # if the chaos sweep's differential assertions fail (docs/SERVING.md).
+# The serve end-to-end (lifecycle) tests also run five times in a row,
+# so an intermittent start/drain/stop race fails the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,6 +38,13 @@ export PYTHONPATH
 
 echo "==> tier-1: pytest"
 python -m pytest -x -q
+
+echo "==> gate: serve lifecycle tests, five runs in a row"
+# A lifecycle race that loses 2 runs in 5 must fail the gate, not
+# slip through one lucky pass.
+for run in 1 2 3 4 5; do
+    python -m pytest -q tests/test_serve.py::TestServerEndToEnd
+done
 
 echo "==> smoke: traced phone-book demo"
 trace_file="$(mktemp)"

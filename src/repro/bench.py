@@ -43,6 +43,7 @@ read.  docs/PERFORMANCE.md explains how to read both.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -360,6 +361,7 @@ def _run_bench(quick: bool, out: str, snapshot: str | None,
         "schema": "bench1",
         "quick": quick,
         "repeats": repeats,
+        "cpus": os.cpu_count(),
         "cases": results,
         "warm_counters": counters,
     }

@@ -94,6 +94,7 @@ class LinkServer:
         self._workers = None  # WorkerPool in process mode
         self._ctl_pool: ThreadPoolExecutor | None = None
         self._shutdown: asyncio.Event | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._inflight: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
         self._active = 0
@@ -103,6 +104,7 @@ class LinkServer:
 
     async def start(self) -> "LinkServer":
         self._shutdown = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         if self.config.processes:
             # Process mode: the thread pool only *dispatches* (each
             # thread blocks on one worker's pipe), so it is sized to
@@ -128,7 +130,25 @@ class LinkServer:
         return self
 
     def request_shutdown(self) -> None:
-        """Begin draining (idempotent; signal handlers land here)."""
+        """Begin draining (idempotent; signal handlers land here).
+
+        Safe from any thread: an off-loop call re-schedules itself onto
+        the loop (``asyncio.Event`` is not thread-safe, and setting it
+        off-loop never wakes a loop idling in its selector), and a call
+        after the loop has closed is a no-op — nothing is left to drain.
+        """
+        loop = self._loop
+        if loop is not None:
+            try:
+                on_loop = asyncio.get_running_loop() is loop
+            except RuntimeError:
+                on_loop = False
+            if not on_loop:
+                try:
+                    loop.call_soon_threadsafe(self.request_shutdown)
+                except RuntimeError:
+                    pass  # the loop is closed: already drained
+                return
         self._draining = True
         if self._shutdown is not None:
             self._shutdown.set()
@@ -358,7 +378,6 @@ class ServerThread:
         self._store = store
         self._ready = threading.Event()
         self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._error: BaseException | None = None
         self.server: LinkServer | None = None
         self.port: int | None = None
@@ -390,14 +409,15 @@ class ServerThread:
         await server.start()
         self.server = server
         self.port = server.port
-        self._loop = asyncio.get_running_loop()
         self._ready.set()
         await server._shutdown.wait()
         await server.drain()
 
     def stop(self) -> None:
-        if self._loop is not None and self.server is not None:
-            self._loop.call_soon_threadsafe(self.server.request_shutdown)
+        """Request shutdown and join the drain (idempotent: a second
+        call, or one after the loop has exited, just joins)."""
+        if self.server is not None:
+            self.server.request_shutdown()
         if self._thread is not None:
             self._thread.join(timeout=60)
             if self._thread.is_alive():

@@ -14,8 +14,8 @@ Design decisions, in order of importance:
   pipeline fresh — no inherited locks, no forked event loop, no
   accidentally shared contextvars.  The worker entry point
   (:func:`_worker_main`) builds its *own* per-process
-  :class:`~repro.units.cache.CacheStore` (via
-  :meth:`~repro.units.cache.CacheStore.for_worker`) and its own
+  :class:`~repro.units.cache.CacheStore` (single-threaded: one
+  request at a time) and its own
   :class:`~repro.obs.metrics.MetricsRegistry`; the only state workers
   share is the disk cache tier, whose content-addressed keys and
   atomic tmp+``os.replace`` writes are already process-safe.
@@ -104,7 +104,7 @@ def _worker_main(conn, config: "ServeConfig") -> None:
     from repro.units.cache import CacheStore
 
     _chaos.mark_worker_process()
-    store = CacheStore.for_worker(config.cache_dir, ttl_s=config.ttl_s)
+    store = CacheStore(config.cache_dir, ttl_s=config.ttl_s)
     registry = MetricsRegistry()
     conn.send(("ready", os.getpid()))
     while True:

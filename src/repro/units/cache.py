@@ -4,33 +4,38 @@ Units are syntax, and structurally identical syntax compiles, checks,
 and links identically — so the Figure 12 compiler, the Figure 10
 checker, the Figure 11 compound merge, and the dynamic-linking archive
 can reuse results keyed by the stable
-:func:`repro.lang.terms.term_key` digest.  Six stores live in a
-:class:`CacheStore`:
+:func:`repro.lang.terms.term_key` digest (compiled code is closed over
+its generated names, so a cached body is reusable in any context —
+exactly the code sharing the paper's footnote 8 describes).
 
-* the **compile cache** — ``term_key(unit-form) -> compiled core
-  expression`` (compiled code is closed over its generated names, so a
-  cached body is reusable in any context, exactly the code sharing the
-  paper's footnote 8 describes);
-* the **check cache** — ``(term_key, strict?) -> passed`` for
-  successful :func:`repro.units.check.check_unit` runs (failures are
-  never cached: the error message and trace event must re-fire);
-* the **link cache** — resolved link subgraphs.  The paper's compound
-  link graphs are DAG-shaped (Section 3.2–3.3), so a compound whose
-  constituent digests are unchanged re-links to a structurally
-  identical merged unit; :func:`cached_link` keys the merge of
-  :func:`repro.units.reduce.merge_compound` on the ``tk1`` digests of
-  the two constituent units plus the link-graph shape (the compound's
-  imports/exports and each clause's with/provides lists — flat
-  signature names, never qualified paths), and :func:`cached_optimize`
-  keys the Section 4.2.4 optimizer's output on the merged unit's own
-  digest.  Both the static linker and the rewriting machine consult
-  the same store, so a subgraph resolved once is shared instead of
-  re-walked;
-* the **parse cache** — ``sha256(source) -> unit syntax`` for archive
-  retrievals, so repeatedly loading the same serialized unit parses
-  once;
-* the **codegen (pycode) cache** and the **flatten memo** — see their
-  sections below.
+The tier table: :data:`TIERS` declares every tier once — its name
+(which is also its :class:`CacheStore` attribute, its directory on
+disk, and the ``cache`` field of its events), its LRU size, and, for
+tiers with a disk tier, the file suffix and the encode/decode pair:
+
+* ``compile`` — ``term_key(unit-form) -> compiled core expression``;
+  disk: pretty-printed terms (``.scm``);
+* ``check`` — ``(term_key, strict?) -> True`` for successful
+  :func:`repro.units.check.check_unit` runs;
+* ``link`` — compound merges keyed by :func:`link_key` (the two
+  constituents' digests plus the link-graph shape — flat signature
+  names, never qualified paths) and Section 4.2.4 optimizer results
+  under ``("opt", digest, rounds)``; disk: merged units (``.scm``);
+* ``dynlink`` — ``sha256(source) -> unit syntax`` for archive
+  retrievals and served requests;
+* ``pycode`` — code objects in memory, generated Python source on
+  disk (``.py``);
+* ``flatten`` — the whole-subtree flatten memo (see
+  :func:`flatten_key`).
+
+Every tier is reached through one routine, :func:`lookup`: memory,
+then (for a digest key on a tier with a disk tier) disk, then
+``compute``.  It emits exactly one ``cache.hit`` or ``cache.miss``
+event per logical lookup plus its service-time histogram, and a
+compute that raises — including :class:`repro.limits.BudgetExceeded`
+— propagates before anything is stored, so failures are never cached.
+Deadline polling and chaos hooks stay in the callers, before the
+lookup, so budget-governed runs poll on the fast path too.
 
 Scoping: the caches are **inactive by default** and enabled per scope.
 :func:`unit_cache_scope` creates a *fresh* :class:`CacheStore` for the
@@ -38,21 +43,17 @@ dynamic extent of the block — the CLI wraps each invocation in one
 (one invocation behaves like one process), benches and tests open
 their own.  :func:`cache_store_scope` instead installs an *existing*
 store, which is how ``repro serve`` shares one long-lived,
-concurrency-safe store across requests: the daemon constructs a
-``CacheStore(thread_safe=True, ttl_s=...)`` once and every worker
-thread enters ``cache_store_scope(store)`` for its request.  Scoping
-is :mod:`contextvars`-based, so concurrent requests each see exactly
-the store their scope installed and a library caller can never observe
-another caller's cache state.  ``--no-term-cache`` (the
+concurrency-safe store across requests.  Scoping is
+:mod:`contextvars`-based, so concurrent requests each see exactly the
+store their scope installed; :func:`current_store` is the way to reach
+a tier (``current_store().link``).  ``--no-term-cache`` (the
 :mod:`repro.lang.terms` switch) also disables them.
 
-Concurrency: a ``thread_safe`` store guards each in-memory LRU with a
-lock and the disk tiers with striped per-digest locks.  No lock is
-ever held across a ``compute()`` callback, so two racing misses on the
-same key may both compute (a benign stampede — the values are
-structurally identical and last-put wins); what the locks rule out is
-*torn state*: a reader never observes a half-updated LRU, a
-half-written disk entry (writes go to a unique temp file and
+Concurrency: no lock is ever held across a ``compute()`` callback, so
+two racing misses on the same key may both compute (a benign stampede
+— the values are structurally identical and last-put wins); what the
+locks rule out is *torn state*: a reader never observes a half-updated
+LRU, a half-written disk entry (writes go to a unique temp file and
 ``os.replace`` into place), or a concurrent unlink-on-corrupt.
 
 Eviction and invalidation: every store is size-bounded (LRU); a
@@ -60,22 +61,15 @@ Eviction and invalidation: every store is size-bounded (LRU); a
 emits ``cache.evict`` with ``reason: "ttl"``).
 :meth:`CacheStore.invalidate` removes every entry derived from a given
 ``tk1`` digest — memory entries whose key embeds the digest, link-tier
-merges recorded as depending on it, and the digest's disk files — so a
-serving process can drop one unit's results without flushing the
-world.
-
-Every lookup emits exactly one ``cache.hit`` or ``cache.miss`` event
-(guarded, so nothing is built when observability is off) carrying the
-cache's name; LRU evictions emit ``cache.evict``.  The on-disk tier
-(for compiled units and merged link results, enabled by
-``--cache-dir`` or the ``REPRO_CACHE_DIR`` environment variable)
-stores pretty-printed terms under a directory versioned by the digest
-schema (``v1-tk1/compile/`` and ``v1-tk1/link/``), so a schema change
-strands old entries instead of misreading them.
+merges recorded as depending on it, and the digest's disk files.  The
+disk tier (``--cache-dir`` or ``REPRO_CACHE_DIR``) lives under a
+directory versioned by the digest schema (``v1-tk1/<tier>/``), so a
+schema change strands old entries instead of misreading them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 import time
@@ -83,7 +77,7 @@ from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from repro.lang import terms as _terms
 from repro.lang.ast import Expr
@@ -91,10 +85,66 @@ from repro.obs import current as _obs_current
 from repro.serve import chaos as _chaos
 
 _MISS = object()
+_T = TypeVar("_T")
 
-#: Default LRU capacities per store (scaled by ``CacheStore(scale=)``).
-_SIZES = {"compile": 1024, "check": 4096, "link": 1024,
-          "dynlink": 256, "pycode": 256, "flatten": 512}
+
+def _encode_term(expr: Expr) -> str:
+    from repro.lang.pretty import show
+
+    return show(expr) + "\n"
+
+
+def _decode_term(text: str, origin: str) -> Expr:
+    from repro.lang.parser import parse_program
+
+    return parse_program(text, origin=origin)
+
+
+def _decode_unit(text: str, origin: str) -> Expr:
+    from repro.units.ast import UnitExpr
+
+    expr = _decode_term(text, origin)
+    if not isinstance(expr, UnitExpr):
+        raise ValueError("link entry is not a single unit")
+    return expr
+
+
+def _decode_pycode(source: str, origin: str):
+    # A module that compiles but lost its ``_main`` (a truncation at a
+    # line boundary parses fine) is as corrupt as one that does not.
+    code = compile(source, "<pycode>", "exec")
+    if "_main" not in code.co_names:
+        raise ValueError("no _main in cached module")
+    return code
+
+
+class Tier(NamedTuple):
+    """One tier's facts.  ``decode(text, origin)`` raises on a corrupt
+    entry.  A disk tier without ``encode`` computes its disk text
+    directly, and memory keeps ``decode(text)`` (pycode: source on
+    disk, code objects in memory)."""
+
+    name: str
+    size: int  # default LRU capacity, scaled by ``CacheStore(scale=)``
+    suffix: str | None = None  # disk file suffix; ``None``: memory only
+    decode: Callable[[str, str], object] | None = None
+    encode: Callable[[object], str] | None = None
+
+    def computed(self, out: object) -> object:
+        """The memory value of a computed result."""
+        if self.encode is not None or self.decode is None:
+            return out
+        return self.decode(out, f"<{self.name}>")
+
+
+TIERS: dict[str, Tier] = {tier.name: tier for tier in (
+    Tier("compile", 1024, ".scm", _decode_term, _encode_term),
+    Tier("check", 4096),
+    Tier("link", 1024, ".scm", _decode_unit, _encode_term),
+    Tier("dynlink", 256),
+    Tier("pycode", 256, ".py", _decode_pycode),
+    Tier("flatten", 512),
+)}
 
 #: How many stripes the per-digest disk locks are spread over.
 _DIGEST_STRIPES = 64
@@ -103,119 +153,76 @@ _DIGEST_STRIPES = 64
 class TermCache:
     """A bounded LRU map from digests to results.
 
-    Pure storage: event emission happens in the ``cached_*`` helpers
-    below (one event per *logical* lookup, even when a memory miss
-    falls through to the disk tier), except eviction — size-bound LRU
-    drops and TTL expiries — which only this class can see.
-
-    With a ``lock`` the table is safe for concurrent get/put (the
-    serve store's configuration); with a ``ttl_s`` entries expire by
-    age at lookup time, so a long-lived store sheds stale results even
-    for keys hot enough to survive the LRU.
+    Pure storage: :func:`lookup` emits the hit/miss events, except
+    eviction — size-bound LRU drops and TTL expiries — which only this
+    class can see.  Every table carries its own lock (uncontended, it
+    is cheaper than any no-op stand-in); with a ``ttl_s`` entries
+    expire by age at lookup time, so a long-lived store sheds stale
+    results even for keys hot enough to survive the LRU.
     """
 
     def __init__(self, name: str, maxsize: int, *,
-                 lock: "threading.Lock | None" = None,
                  ttl_s: float | None = None,
                  clock: Callable[[], float] = time.monotonic):
         self.name = name
         self.maxsize = maxsize
         self.ttl_s = ttl_s
         self._clock = clock
-        self._lock = lock
-        self._table: "OrderedDict[object, object]" = OrderedDict()
-        self._stamps: dict[object, float] | None = \
-            {} if ttl_s is not None else None
+        self._lock = threading.Lock()
+        #: key -> (value, insertion stamp; 0.0 without a TTL)
+        self._table: "OrderedDict[object, tuple[object, float]]" = \
+            OrderedDict()
 
     def get(self, key: object) -> object:
-        if self._lock is None:
-            found, expired = self._get(key)
-        else:
-            with self._lock:
-                found, expired = self._get(key)
-        if expired:
-            col = _obs_current()
-            if col is not None:
-                col.emit("cache.evict", {"cache": self.name,
-                                         "reason": "ttl"})
-                col.gauge(f"cache.occupancy.{self.name}", len(self._table))
-        return found
-
-    def _get(self, key: object) -> tuple[object, bool]:
-        found = self._table.get(key, _MISS)
-        if found is _MISS:
-            return _MISS, False
-        if self._stamps is not None:
-            stamp = self._stamps.get(key, 0.0)
-            if self._clock() - stamp > self.ttl_s:
+        with self._lock:
+            entry = self._table.get(key)
+            if entry is None:
+                return _MISS
+            expired = (self.ttl_s is not None
+                       and self._clock() - entry[1] > self.ttl_s)
+            if expired:
                 del self._table[key]
-                self._stamps.pop(key, None)
-                return _MISS, True
-        self._table.move_to_end(key)
-        return found, False
+            else:
+                self._table.move_to_end(key)
+        if not expired:
+            return entry[0]
+        col = _obs_current()
+        if col is not None:
+            col.emit("cache.evict", {"cache": self.name, "reason": "ttl"})
+            col.gauge(f"cache.occupancy.{self.name}", len(self._table))
+        return _MISS
 
     def put(self, key: object, value: object) -> None:
-        if self._lock is None:
-            evicted = self._put(key, value)
-        else:
-            with self._lock:
-                evicted = self._put(key, value)
+        stamp = self._clock() if self.ttl_s is not None else 0.0
+        with self._lock:
+            self._table[key] = (value, stamp)
+            self._table.move_to_end(key)
+            evicted = len(self._table) > self.maxsize
+            if evicted:
+                self._table.popitem(last=False)
         col = _obs_current()
         if col is not None:
             if evicted:
                 col.emit("cache.evict", {"cache": self.name})
             col.gauge(f"cache.occupancy.{self.name}", len(self._table))
 
-    def _put(self, key: object, value: object) -> bool:
-        self._table[key] = value
-        self._table.move_to_end(key)
-        if self._stamps is not None:
-            self._stamps[key] = self._clock()
-        if len(self._table) > self.maxsize:
-            old, _ = self._table.popitem(last=False)
-            if self._stamps is not None:
-                self._stamps.pop(old, None)
-            return True
-        return False
-
     def delete(self, key: object) -> int:
         """Drop one entry; returns how many entries were removed."""
-        if self._lock is None:
-            return self._delete(key)
         with self._lock:
-            return self._delete(key)
-
-    def _delete(self, key: object) -> int:
-        if key in self._table:
-            del self._table[key]
-            if self._stamps is not None:
-                self._stamps.pop(key, None)
-            return 1
-        return 0
+            return 0 if self._table.pop(key, None) is None else 1
 
     def matching(self, digest: str) -> list[object]:
         """Keys that embed ``digest`` (directly or inside a tuple)."""
-        if self._lock is None:
+        with self._lock:
             keys = list(self._table)
-        else:
-            with self._lock:
-                keys = list(self._table)
         return [key for key in keys if _key_contains(key, digest)]
 
     def __len__(self) -> int:
         return len(self._table)
 
     def clear(self) -> None:
-        if self._lock is None:
-            self._clear()
-        else:
-            with self._lock:
-                self._clear()
-
-    def _clear(self) -> None:
-        self._table.clear()
-        if self._stamps is not None:
-            self._stamps.clear()
+        with self._lock:
+            self._table.clear()
 
 
 def _key_contains(key: object, digest: str) -> bool:
@@ -227,25 +234,26 @@ def _key_contains(key: object, digest: str) -> bool:
 
 
 class CacheStore:
-    """One complete set of content-addressed stores plus disk tiers.
+    """One complete set of tiers (one :class:`TermCache` per
+    :data:`TIERS` entry, as the attribute of the same name) plus the
+    disk tiers.
 
     The unit of cache *scoping*: :func:`unit_cache_scope` creates a
     private one per invocation; ``repro serve`` creates one
     ``thread_safe`` instance at startup and shares it across every
     request via :func:`cache_store_scope`.  In multi-process serve
-    mode each worker process instead bootstraps its own store with
-    :meth:`for_worker`, and sibling workers share warm state *only*
-    through the disk tiers: writes are atomic (per-process temp file +
-    ``os.replace``) and keys are content-addressed ``tk1`` digests, so
-    concurrent writers of the same key race to install identical
-    bytes — last-replace-wins is correct by construction, with no
+    mode each worker process builds its own (single-threaded) store,
+    and sibling workers share warm state *only* through the disk
+    tiers: writes are atomic (per-process temp file + ``os.replace``)
+    and keys are content-addressed ``tk1`` digests, so concurrent
+    writers of the same key race to install identical bytes —
+    last-replace-wins is correct by construction, with no
     cross-process locking.
 
-    ``thread_safe`` arms a lock per in-memory LRU and
-    :data:`_DIGEST_STRIPES` striped locks for disk-tier reads, writes,
-    and unlink-on-corrupt.  ``ttl_s`` expires memory entries by age;
-    ``scale`` multiplies the default LRU capacities.  ``clock`` is
-    injectable so TTL tests need not sleep.
+    ``thread_safe`` arms :data:`_DIGEST_STRIPES` striped locks for
+    disk-tier reads, writes, and unlink-on-corrupt.  ``ttl_s`` expires
+    memory entries by age; ``scale`` multiplies the default LRU
+    capacities.  ``clock`` is injectable so TTL tests need not sleep.
     """
 
     def __init__(self, disk_dir: str | Path | None = None, *,
@@ -255,21 +263,12 @@ class CacheStore:
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.thread_safe = thread_safe
         self.ttl_s = ttl_s
-
-        def make(name: str) -> TermCache:
-            return TermCache(
-                name, max(1, int(_SIZES[name] * scale)),
-                lock=threading.Lock() if thread_safe else None,
-                ttl_s=ttl_s, clock=clock)
-
-        self.compile = make("compile")
-        self.check = make("check")
-        self.link = make("link")
-        self.parse = make("dynlink")
-        self.pycode = make("pycode")
-        self.flatten = make("flatten")
-        self.caches = (self.compile, self.check, self.link, self.parse,
-                       self.pycode, self.flatten)
+        self.caches = tuple(
+            TermCache(tier.name, max(1, int(tier.size * scale)),
+                      ttl_s=ttl_s, clock=clock)
+            for tier in TIERS.values())
+        for cache in self.caches:
+            setattr(self, cache.name, cache)
         self._stripes = (tuple(threading.Lock()
                                for _ in range(_DIGEST_STRIPES))
                          if thread_safe else None)
@@ -277,24 +276,7 @@ class CacheStore:
         #: :meth:`invalidate` can find merges whose opaque key does not
         #: itself embed the digest.
         self._link_deps: dict[object, tuple[str, str]] = {}
-        self._deps_lock = threading.Lock() if thread_safe else None
-
-    @classmethod
-    def for_worker(cls, disk_dir: str | Path | None = None, *,
-                   ttl_s: float | None = None,
-                   scale: float = 1.0) -> "CacheStore":
-        """Bootstrap the per-process store of one serve worker.
-
-        Workers execute one request at a time, so the store is built
-        *without* per-LRU locks (``thread_safe=False`` — uncontended
-        locks would only add overhead).  Pointing every sibling at the
-        same ``disk_dir`` is what makes warm state cross-process: a
-        compile/link/pycode artifact one worker writes is a disk hit
-        for the next, under the atomic-write discipline described in
-        the class docstring.
-        """
-        return cls(disk_dir, thread_safe=False, ttl_s=ttl_s,
-                   scale=scale)
+        self._deps_lock = threading.Lock()
 
     # -- maintenance ----------------------------------------------------
 
@@ -302,11 +284,8 @@ class CacheStore:
         """Empty every in-memory store (the disk tier is untouched)."""
         for cache in self.caches:
             cache.clear()
-        if self._deps_lock is None:
+        with self._deps_lock:
             self._link_deps.clear()
-        else:
-            with self._deps_lock:
-                self._link_deps.clear()
 
     def occupancy(self) -> dict[str, int]:
         """Entries resident per store, for stats endpoints."""
@@ -325,8 +304,7 @@ class CacheStore:
         for cache in self.caches:
             for key in cache.matching(digest):
                 removed += cache.delete(key)
-        deps_lock = self._deps_lock or nullcontext()
-        with deps_lock:
+        with self._deps_lock:
             stale = [key for key, (k1, k2) in self._link_deps.items()
                      if digest in (k1, k2)]
             for key in stale:
@@ -334,12 +312,12 @@ class CacheStore:
         for key in stale:
             removed += self.link.delete(key)
         if self.disk_dir is not None:
-            for kind, suffix in (("compile", ".scm"), ("link", ".scm"),
-                                 ("pycode", ".py")):
-                path = self._disk_path(kind, digest, suffix)
-                with self._digest_lock(kind, digest):
+            for tier in TIERS.values():
+                if tier.suffix is None:
+                    continue
+                with self._digest_lock(tier.name, digest):
                     try:
-                        path.unlink()
+                        self._disk_path(tier.name, digest).unlink()
                         removed += 1
                     except OSError:
                         pass
@@ -356,8 +334,7 @@ class CacheStore:
         k2 = _terms.try_term_key(second)
         if k1 is None or k2 is None:
             return
-        deps_lock = self._deps_lock or nullcontext()
-        with deps_lock:
+        with self._deps_lock:
             self._link_deps[key] = (k1, k2)
             if len(self._link_deps) > 2 * self.link.maxsize:
                 # Prune deps whose merge the LRU already evicted.
@@ -367,62 +344,37 @@ class CacheStore:
 
     # -- the disk tiers -------------------------------------------------
 
-    def _digest_lock(self, kind: str, key: object):
+    def _digest_lock(self, name: str, key: object):
         if self._stripes is None:
             return nullcontext()
-        return self._stripes[hash((kind, key)) % _DIGEST_STRIPES]
+        return self._stripes[hash((name, key)) % _DIGEST_STRIPES]
 
-    def _disk_path(self, kind: str, key: str,
-                   suffix: str = ".scm") -> Path | None:
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / f"v1-{_terms.SCHEMA}" / kind \
-            / f"{key}{suffix}"
+    def _disk_path(self, name: str, key: str) -> Path:
+        return self.disk_dir / f"v1-{_terms.SCHEMA}" / name \
+            / f"{key}{TIERS[name].suffix}"
 
-    def disk_read_expr(self, kind: str, key: str) -> Expr | None:
-        """Read + reparse a disk entry; corrupt entries are unlinked
-        (under the digest lock) and reported as a miss."""
-        path = self._disk_path(kind, key)
-        if path is None:
-            return None
-        from repro.lang.parser import parse_program
-
-        with self._digest_lock(kind, key):
+    def disk_read(self, name: str, key: str) -> object:
+        """Read and decode one disk entry, or ``_MISS``.  A corrupt
+        entry is unlinked (under the digest lock, so the recomputed
+        result can take its slot) and reported as a miss."""
+        path = self._disk_path(name, key)
+        with self._digest_lock(name, key):
             try:
                 if _chaos._armed:
-                    _chaos.cache_io(f"{kind}.read")
+                    _chaos.cache_io(f"{name}.read")
                 text = path.read_text(encoding="utf-8")
             except OSError:
-                return None
+                return _MISS
             try:
-                return parse_program(text, origin=str(path))
+                return TIERS[name].decode(text, str(path))
             except Exception:
-                # A corrupt or stale entry is a miss, not an error;
-                # drop it so the recomputed result can take its slot.
                 try:
                     path.unlink()
                 except OSError:
                     pass
-                return None
+                return _MISS
 
-    def disk_read_unit(self, key: str) -> Expr | None:
-        """Read a link-tier entry; anything but a single unit is
-        corrupt."""
-        from repro.units.ast import UnitExpr
-
-        loaded = self.disk_read_expr("link", key)
-        if loaded is None or isinstance(loaded, UnitExpr):
-            return loaded
-        path = self._disk_path("link", key)
-        with self._digest_lock("link", key):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return None
-
-    def disk_write_text(self, kind: str, key: str, text: str,
-                        suffix: str = ".scm") -> None:
+    def disk_write(self, name: str, key: str, text: str) -> None:
         """Atomically publish one disk entry (temp file + replace).
 
         Concurrent writers of the same digest write identical content
@@ -430,14 +382,12 @@ class CacheStore:
         correct; a reader racing the replace sees either the old
         complete entry or the new complete entry, never a torn one.
         """
-        path = self._disk_path(kind, key, suffix)
-        if path is None:
-            return
+        path = self._disk_path(name, key)
         tmp: Path | None = None
-        with self._digest_lock(kind, key):
+        with self._digest_lock(name, key):
             try:
                 if _chaos._armed:
-                    _chaos.cache_io(f"{kind}.write")
+                    _chaos.cache_io(f"{name}.write")
                 path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_name(
                     f"{path.name}.{os.getpid()}."
@@ -452,36 +402,6 @@ class CacheStore:
                         tmp.unlink()
                     except OSError:
                         pass
-
-    def disk_read_pycode(self, key: str):
-        """Load and compile a pycode disk entry, or ``None``.
-
-        An entry that fails to ``compile()`` — or compiles but does
-        not define ``_main`` (a truncation at a line boundary parses
-        fine) — is corrupt: unlink it (under the digest lock) and
-        report a miss.
-        """
-        path = self._disk_path("pycode", key, suffix=".py")
-        if path is None:
-            return None
-        with self._digest_lock("pycode", key):
-            try:
-                if _chaos._armed:
-                    _chaos.cache_io("pycode.read")
-                source = path.read_text(encoding="utf-8")
-            except OSError:
-                return None
-            try:
-                code = _pycode_compile(source)
-                if "_main" not in code.co_names:
-                    raise ValueError("no _main in cached module")
-                return code
-            except (SyntaxError, ValueError):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                return None
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +434,6 @@ def _active_store() -> CacheStore | None:
 def unit_caches_active() -> bool:
     """Are the content-addressed caches consulted right now?"""
     return _active_store() is not None
-
-
-def clear_unit_caches() -> None:
-    """Empty the scoped store's memory tiers (disk is untouched)."""
-    store = current_store()
-    if store is not None:
-        store.clear()
 
 
 @contextmanager
@@ -557,127 +470,80 @@ def unit_cache_scope(disk_dir: str | Path | None = None
         yield store
 
 
-class _ScopedCacheView:
-    """Back-compat module-global view of one named cache.
+# ---------------------------------------------------------------------------
+# The one lookup routine
+# ---------------------------------------------------------------------------
 
-    ``cache.LINK_CACHE`` and friends predate :class:`CacheStore`;
-    existing callers (tests, diagnostics) only size and clear them, so
-    the view resolves against the *currently scoped* store on every
-    use and reads as empty when no scope is open.
+
+def _emit(kind: str, name: str, t_start: float,
+          tier: str | None = None) -> None:
+    col = _obs_current()
+    if col is not None:
+        col.emit(kind, {"cache": name} if tier is None
+                 else {"cache": name, "tier": tier})
+        # Service time: keying plus the lookup (and, for a disk hit,
+        # reading and decoding the entry) — for a miss, the overhead of
+        # *concluding* it, not the recomputation the stage spans own.
+        col.observe(f"{kind}.{name}", time.perf_counter() - t_start)
+
+
+def lookup(name: str, make_key: Callable[[], object | None],
+           compute: Callable[[], _T],
+           on_put: Callable[[CacheStore, object], None] | None = None
+           ) -> _T:
+    """Serve one logical lookup through tier ``name``.
+
+    With no active store, or when ``make_key()`` is ``None`` (the term
+    embeds run-time data), this is just ``compute()``.  Otherwise:
+    memory, then disk (only digest-keyed — ``str`` — entries of a tier
+    with a disk tier have a file), then ``compute()``, whose result is
+    put in memory and on disk.  ``on_put(store, key)`` runs after every
+    memory put.
     """
-
-    def __init__(self, attr: str):
-        self._attr = attr
-
-    def _cache(self) -> TermCache | None:
-        store = current_store()
-        return getattr(store, self._attr) if store is not None else None
-
-    def __len__(self) -> int:
-        cache = self._cache()
-        return len(cache) if cache is not None else 0
-
-    def clear(self) -> None:
-        cache = self._cache()
-        if cache is not None:
-            cache.clear()
-
-    def get(self, key: object) -> object:
-        cache = self._cache()
-        return cache.get(key) if cache is not None else _MISS
-
-    def put(self, key: object, value: object) -> None:
-        cache = self._cache()
-        if cache is not None:
-            cache.put(key, value)
-
-
-COMPILE_CACHE = _ScopedCacheView("compile")
-CHECK_CACHE = _ScopedCacheView("check")
-LINK_CACHE = _ScopedCacheView("link")
-PARSE_CACHE = _ScopedCacheView("parse")
-PYCODE_CACHE = _ScopedCacheView("pycode")
-FLATTEN_CACHE = _ScopedCacheView("flatten")
-
-
-def _emit_hit(name: str, tier: str, t_start: float | None = None) -> None:
-    col = _obs_current()
-    if col is not None:
-        col.emit("cache.hit", {"cache": name, "tier": tier})
-        if t_start is not None:
-            # Hit service time: digesting the term plus the lookup
-            # (and, for a disk hit, reading and reparsing the entry).
-            col.observe(f"cache.hit.{name}",
-                        time.perf_counter() - t_start)
-
-
-def _emit_miss(name: str, t_start: float | None = None) -> None:
-    col = _obs_current()
-    if col is not None:
-        col.emit("cache.miss", {"cache": name})
-        if t_start is not None:
-            # Miss service time: the overhead of *concluding* the miss
-            # (key + lookup), not the recomputation that follows — the
-            # stage spans already own that.
-            col.observe(f"cache.miss.{name}",
-                        time.perf_counter() - t_start)
+    tier = TIERS[name]
+    store = _active_store()
+    key = None
+    if store is not None:
+        t_start = time.perf_counter()
+        key = make_key()
+    if key is None:
+        return tier.computed(compute())  # type: ignore[return-value]
+    cache = getattr(store, name)
+    found = cache.get(key)
+    if found is not _MISS:
+        _emit("cache.hit", name, t_start, "memory")
+        return found  # type: ignore[return-value]
+    disk = (tier.suffix is not None and store.disk_dir is not None
+            and isinstance(key, str))
+    if disk:
+        found = store.disk_read(name, key)
+        if found is not _MISS:
+            _emit("cache.hit", name, t_start, "disk")
+            cache.put(key, found)
+            if on_put is not None:
+                on_put(store, key)
+            return found  # type: ignore[return-value]
+    _emit("cache.miss", name, t_start)
+    out = compute()
+    value = tier.computed(out)
+    cache.put(key, value)
+    if on_put is not None:
+        on_put(store, key)
+    if disk:
+        store.disk_write(name, key,
+                         out if tier.encode is None else tier.encode(out))
+    return value  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
-# The compile cache (memory + optional disk tier)
+# Per-tier entry points: keys, plus any per-tier step
 # ---------------------------------------------------------------------------
 
 
 def cached_compile(expr: Expr, compute: Callable[[], Expr]) -> Expr:
-    """Compile through the content-addressed cache.
-
-    Hits return the stored node itself, so structurally identical
-    units across a program share one compiled body (the paper's
-    footnote-8 code sharing, for free).  Keying digests only the
-    *input* unit — never the (much larger) compiled output.
-    """
-    store = _active_store()
-    if store is None:
-        return compute()
-    t_start = time.perf_counter()
-    key = _terms.try_term_key(expr)
-    if key is None:
-        return compute()
-    found = store.compile.get(key)
-    if found is not _MISS:
-        _emit_hit("compile", "memory", t_start)
-        return found  # type: ignore[return-value]
-    loaded = store.disk_read_expr("compile", key)
-    if loaded is not None:
-        _emit_hit("compile", "disk", t_start)
-        store.compile.put(key, loaded)
-        return loaded
-    _emit_miss("compile", t_start)
-    out = compute()
-    store.compile.put(key, out)
-    from repro.lang.pretty import show
-
-    store.disk_write_text("compile", key, show(out) + "\n")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The link cache (memory + optional disk tier)
-# ---------------------------------------------------------------------------
-#
-# Linking is content-addressed exactly like compilation: the merged
-# unit a compound reduces to is a pure function of its constituents'
-# structure and the link-graph shape, so a compound whose constituent
-# digests are unchanged short-circuits to the stored merge.  Keys are
-# built from flat signature names (a clause's with/provides lists),
-# never from qualified paths — renaming a box or moving a unit between
-# files cannot invalidate an entry whose structure is unchanged.
-#
-# Failure discipline matches the other stores: clause violations are
-# raised by the caller *before* the lookup, and a merge aborted by a
-# :class:`repro.limits.BudgetExceeded` (deadline or substitution
-# budget) propagates out of ``compute`` before anything is stored, so
-# failed or exhausted links are never cached.
+    """Compile through the compile tier.  Keying digests only the
+    *input* unit — never the (much larger) compiled output."""
+    return lookup("compile", lambda: _terms.try_term_key(expr), compute)
 
 
 def link_key(compound, first: Expr, second: Expr) -> str | None:
@@ -688,8 +554,6 @@ def link_key(compound, first: Expr, second: Expr) -> str | None:
     with/provides name lists.  ``None`` when either constituent embeds
     run-time data (machine states are never cached).
     """
-    import hashlib
-
     k1 = _terms.try_term_key(first)
     if k1 is None:
         return None
@@ -715,179 +579,55 @@ def link_key(compound, first: Expr, second: Expr) -> str | None:
 
 def cached_link(compound, first: Expr, second: Expr,
                 compute: Callable[[], Expr]) -> Expr:
-    """Merge a compound's constituents through the link cache.
+    """Merge a compound's constituents through the link tier.
 
-    Hits return the stored merged unit itself, so an already-resolved
-    subgraph is shared instead of re-walked — the static linker and
-    the rewriting machine both come through here, and a subtree either
-    one resolved primes the other.  Deadline checks happen in the
-    caller before the lookup, so budget-governed runs poll the clock
-    on the fast path too.
+    The merged unit a compound reduces to is a pure function of its
+    constituents' structure and the link-graph shape, so a compound
+    whose constituent digests are unchanged short-circuits to the
+    stored merge — shared, not re-walked, by both the static linker
+    and the rewriting machine.  Each put records the constituents'
+    digests so :meth:`CacheStore.invalidate` can find the merge.
     """
-    store = _active_store()
-    if store is None:
-        return compute()
-    t_start = time.perf_counter()
-    key = link_key(compound, first, second)
-    if key is None:
-        return compute()
-    found = store.link.get(key)
-    if found is not _MISS:
-        _emit_hit("link", "memory", t_start)
-        return found  # type: ignore[return-value]
-    loaded = store.disk_read_unit(key)
-    if loaded is not None:
-        _emit_hit("link", "disk", t_start)
-        store.link.put(key, loaded)
-        store.record_link_deps(key, first, second)
-        return loaded
-    _emit_miss("link", t_start)
-    out = compute()
-    store.link.put(key, out)
-    store.record_link_deps(key, first, second)
-    from repro.lang.pretty import show
-
-    store.disk_write_text("link", key, show(out) + "\n")
-    return out
+    return lookup(
+        "link", lambda: link_key(compound, first, second), compute,
+        lambda store, key: store.record_link_deps(key, first, second))
 
 
 def cached_optimize(unit: Expr, rounds: int,
                     compute: Callable[[], Expr]) -> Expr:
-    """Optimize a unit through the link cache (memory tier only).
+    """Optimize a unit through the link tier (memory only: the key is
+    ``("opt", digest, rounds)``, not a bare digest).  The Section 4.2.4
+    optimizer is deterministic and emits no events, so caching it
+    cannot perturb trace-event counts."""
+    def key() -> tuple | None:
+        digest = _terms.try_term_key(unit)
+        return None if digest is None else ("opt", digest, rounds)
 
-    The Section 4.2.4 optimizer runs as the second half of the link
-    stage on the merged unit, is deterministic, and emits no events —
-    so its output is content-addressed under the same ``link`` store,
-    keyed on the input unit's digest and the round count.  Exceptions
-    (including budget exhaustion mid-substitution) propagate before
-    anything is stored.
-    """
-    store = _active_store()
-    if store is None:
-        return compute()
-    t_start = time.perf_counter()
-    key = _terms.try_term_key(unit)
-    if key is None:
-        return compute()
-    found = store.link.get(("opt", key, rounds))
-    if found is not _MISS:
-        _emit_hit("link", "memory", t_start)
-        return found  # type: ignore[return-value]
-    _emit_miss("link", t_start)
-    out = compute()
-    store.link.put(("opt", key, rounds), out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The check cache (successes only)
-# ---------------------------------------------------------------------------
-
-
-def checked_ok(expr: Expr, strict_valuable: bool) -> bool:
-    """Did a structurally identical unit already pass this check?
-
-    Emits the hit/miss event; a ``True`` return means the caller may
-    skip re-checking.  Inactive caches answer ``False`` silently.
-    """
-    store = _active_store()
-    if store is None:
-        return False
-    t_start = time.perf_counter()
-    key = _terms.try_term_key(expr)
-    if key is None:
-        return False
-    if store.check.get((key, strict_valuable)) is not _MISS:
-        _emit_hit("check", "memory", t_start)
-        return True
-    _emit_miss("check", t_start)
-    return False
-
-
-def record_checked(expr: Expr, strict_valuable: bool) -> None:
-    """Record that ``expr`` passed checking (no event: not a lookup)."""
-    store = _active_store()
-    if store is None:
-        return
-    key = _terms.try_term_key(expr)
-    if key is not None:
-        store.check.put((key, strict_valuable), True)
-
-
-# ---------------------------------------------------------------------------
-# The archive parse cache
-# ---------------------------------------------------------------------------
+    return lookup("link", key, compute)
 
 
 def cached_parse(source: str, compute: Callable[[], Expr]) -> Expr:
-    """Parse archived unit source through the cache.
+    """Parse archived unit source through the dynlink tier.
 
     Keyed by the full text handed in — callers prepend any context
     (like the parse origin) that the cached syntax must agree with.
     """
-    store = _active_store()
-    if store is None:
-        return compute()
-    import hashlib
-
-    t_start = time.perf_counter()
-    key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    found = store.parse.get(key)
-    if found is not _MISS:
-        _emit_hit("dynlink", "memory", t_start)
-        return found  # type: ignore[return-value]
-    _emit_miss("dynlink", t_start)
-    out = compute()
-    store.parse.put(key, out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The codegen (pycode) cache: memory holds code objects, disk holds
-# the generated Python source
-# ---------------------------------------------------------------------------
-
-
-def _pycode_compile(source: str):
-    return compile(source, "<pycode>", "exec")
+    return lookup(
+        "dynlink",
+        lambda: hashlib.sha256(source.encode("utf-8")).hexdigest(),
+        compute)
 
 
 def cached_pycode(expr: Expr, generate: Callable[[], str]):
-    """Generate + compile a program's Python module through the cache.
-
-    The memory tier stores the ready code object; the disk tier stores
-    the generated source at ``v1-tk1/pycode/<digest>.py`` (codegen is
-    deterministic in the program's shape, so equal digests mean equal
-    source).  Exceptions from ``generate`` or ``compile`` — including
-    budget exhaustion surfacing mid-codegen — propagate before
-    anything is stored, so failed compilations are never cached.
-    """
-    store = _active_store()
-    if store is None:
-        return _pycode_compile(generate())
-    t_start = time.perf_counter()
-    key = _terms.try_term_key(expr)
-    if key is None:
-        return _pycode_compile(generate())
-    found = store.pycode.get(key)
-    if found is not _MISS:
-        _emit_hit("pycode", "memory", t_start)
-        return found
-    loaded = store.disk_read_pycode(key)
-    if loaded is not None:
-        _emit_hit("pycode", "disk", t_start)
-        store.pycode.put(key, loaded)
-        return loaded
-    _emit_miss("pycode", t_start)
-    source = generate()
-    code = _pycode_compile(source)
-    store.pycode.put(key, code)
-    store.disk_write_text("pycode", key, source, suffix=".py")
-    return code
+    """Generate + compile a program's Python module through the pycode
+    tier: the code object in memory, the generated source at
+    ``v1-tk1/pycode/<digest>.py`` (codegen is deterministic in the
+    program's shape, so equal digests mean equal source)."""
+    return lookup("pycode", lambda: _terms.try_term_key(expr), generate)
 
 
 # ---------------------------------------------------------------------------
-# The flatten memo (memory tier only)
+# The flatten memo
 # ---------------------------------------------------------------------------
 #
 # Warm link time is dominated by re-walking the whole program tree even
@@ -899,8 +639,7 @@ def cached_pycode(expr: Expr, generate: Callable[[], str]):
 # resolution).  A hit skips the subtree walk entirely; the linker
 # replays the recorded `link.static`/`reduce.compound` span kinds and
 # stat deltas so trace-event counts and `LinkStats` stay
-# cache-invariant (the differential sweeps compare both).  Failed
-# merges raise out of the compute path before anything is stored.
+# cache-invariant (the differential sweeps compare both).
 
 
 def flatten_key(expr: Expr, units_in_scope: dict,
@@ -918,29 +657,6 @@ def flatten_key(expr: Expr, units_in_scope: dict,
             return None
         scope_sig.append((name, unit_key))
     return (key, tuple(scope_sig), tuple(sorted(assigned)))
-
-
-def flatten_lookup(key: tuple | None):
-    """The stored ``(result, merged, dynamic, replay)`` entry, or
-    ``None`` (emitting the hit/miss event either way)."""
-    if key is None:
-        return None
-    store = _active_store()
-    if store is None:
-        return None
-    t_start = time.perf_counter()
-    found = store.flatten.get(key)
-    if found is not _MISS:
-        _emit_hit("flatten", "memory", t_start)
-        return found
-    _emit_miss("flatten", t_start)
-    return None
-
-
-def flatten_store(key: tuple | None, entry: tuple) -> None:
-    store = _active_store()
-    if key is not None and store is not None:
-        store.flatten.put(key, entry)
 
 
 def replay_link_events(replay: tuple) -> None:

@@ -19,6 +19,7 @@ re-checks the with/provides contract when linking happens.
 from __future__ import annotations
 
 from repro import limits as _limits
+from repro.lang import terms as _terms
 from repro.lang.ast import (
     App,
     Expr,
@@ -121,27 +122,35 @@ def check_unit(expr: UnitExpr, strict_valuable: bool = True) -> None:
         # structurally identical unit that already passed need not be
         # re-walked.  The span above still fires: event counts are the
         # same with caching on or off.  Failures are never recorded.
-        if _cache.checked_ok(expr, strict_valuable):
-            return
-        _require_distinct(expr.imports + expr.defined,
-                          "unit import/definition", expr)
-        _require_distinct(expr.exports, "unit export", expr)
-        defined = set(expr.defined)
-        for name in expr.exports:
-            if name not in defined:
-                raise CheckError(
-                    f"unit: exported variable '{name}' is not defined",
-                    expr.loc)
-        unstable = frozenset(expr.imports) | frozenset(expr.defined)
-        for name, rhs in expr.defns:
-            if strict_valuable and not is_valuable(rhs, unstable):
-                raise CheckError(
-                    f"unit: definition of '{name}' is not valuable "
-                    f"(it may diverge, have effects, or prematurely "
-                    f"reference a unit variable)", expr.loc)
-            check_expr(rhs, strict_valuable)
-        check_expr(expr.init, strict_valuable)
-        _cache.record_checked(expr, strict_valuable)
+        _cache.lookup("check", lambda: _check_key(expr, strict_valuable),
+                      lambda: _check_unit_premises(expr, strict_valuable))
+
+
+def _check_key(expr: UnitExpr, strict_valuable: bool) -> tuple | None:
+    key = _terms.try_term_key(expr)
+    return None if key is None else (key, strict_valuable)
+
+
+def _check_unit_premises(expr: UnitExpr, strict_valuable: bool) -> bool:
+    _require_distinct(expr.imports + expr.defined,
+                      "unit import/definition", expr)
+    _require_distinct(expr.exports, "unit export", expr)
+    defined = set(expr.defined)
+    for name in expr.exports:
+        if name not in defined:
+            raise CheckError(
+                f"unit: exported variable '{name}' is not defined",
+                expr.loc)
+    unstable = frozenset(expr.imports) | frozenset(expr.defined)
+    for name, rhs in expr.defns:
+        if strict_valuable and not is_valuable(rhs, unstable):
+            raise CheckError(
+                f"unit: definition of '{name}' is not valuable "
+                f"(it may diverge, have effects, or prematurely "
+                f"reference a unit variable)", expr.loc)
+        check_expr(rhs, strict_valuable)
+    check_expr(expr.init, strict_valuable)
+    return True
 
 
 def check_compound(expr: CompoundExpr, strict_valuable: bool = True) -> None:

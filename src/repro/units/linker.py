@@ -18,6 +18,7 @@ optimizer, yielding the static-linker pipeline:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.lang.ast import (
@@ -136,76 +137,88 @@ def _flatten(expr: Expr, stats: LinkStats,
                         tuple((n, go(e, inner)) for n, e in expr.defns),
                         go(expr.init, inner), expr.loc)
     if isinstance(expr, CompoundExpr):
-        # Whole-subtree memo: a compound whose digest and flattening
-        # context are unchanged returns its stored result without
-        # re-walking the subtree; stat deltas and span kinds replay so
-        # the memo stays observationally invisible.
-        memo_key = _cache.flatten_key(expr, units_in_scope, assigned)
-        if memo_key is not None:
-            from repro import limits as _limits
-
-            budget = _limits.current()
-            if budget is not None:
-                budget.check_deadline(expr.loc)
-            hit = _cache.flatten_lookup(memo_key)
-            if hit is not None:
-                result, d_merged, d_dynamic, replay = hit
-                stats.merged += d_merged
-                stats.left_dynamic += d_dynamic
-                if stats.log is not None:
-                    stats.log.extend(replay)
-                _cache.replay_link_events(replay)
-                return result
-        base_merged = stats.merged
-        base_dynamic = stats.left_dynamic
-        log_start = len(stats.log) if stats.log is not None else 0
-
-        def resolve(e: Expr) -> Expr:
-            flat = go(e)
-            if isinstance(flat, Var) and flat.name in units_in_scope:
-                return units_in_scope[flat.name]
-            return flat
-
-        first = resolve(expr.first.expr)
-        second = resolve(expr.second.expr)
-        rebuilt = CompoundExpr(
-            expr.imports, expr.exports,
-            LinkClause(first, expr.first.withs, expr.first.provides),
-            LinkClause(second, expr.second.withs, expr.second.provides),
-            expr.loc)
-        col = _obs_current()
-        if isinstance(first, UnitExpr) and isinstance(second, UnitExpr):
-            stats.merged += 1
-            if col is None:
-                out = merge_compound(rebuilt, first, second)
-            else:
-                # Span: the reduce.compound merge it triggers nests
-                # inside.
-                with col.span("link.static", {"merged": True}):
-                    out = merge_compound(rebuilt, first, second)
-            if stats.log is not None:
-                stats.log.append(
-                    ("m", len(first.defns) + len(second.defns)))
-        else:
-            stats.left_dynamic += 1
-            if col is not None:
-                col.emit("link.static", {"merged": False})
-            if stats.log is not None:
-                stats.log.append(("d",))
-            out = rebuilt
-        if memo_key is not None and stats.log is not None:
-            _cache.flatten_store(memo_key, (
-                out,
-                stats.merged - base_merged,
-                stats.left_dynamic - base_dynamic,
-                tuple(stats.log[log_start:])))
-        return out
+        return _flatten_compound(expr, stats, units_in_scope, assigned, go)
     if isinstance(expr, InvokeExpr):
         return InvokeExpr(
             go(expr.expr),
             tuple((n, go(e)) for n, e in expr.links),
             expr.loc)
     raise TypeError(f"flatten: unknown expression {expr!r}")
+
+
+def _flatten_compound(expr: CompoundExpr, stats: LinkStats,
+                      units_in_scope: dict[str, UnitExpr],
+                      assigned: frozenset[str], go) -> Expr:
+    """Flatten one compound, through the whole-subtree flatten memo:
+    a compound whose digest and flattening context are unchanged
+    returns its stored result without re-walking the subtree; stat
+    deltas and span kinds replay so the memo stays observationally
+    invisible."""
+    memo_key = (_cache.flatten_key(expr, units_in_scope, assigned)
+                if stats.log is not None else None)
+    if memo_key is None:
+        return _merge_or_rebuild(expr, stats, units_in_scope, go)
+    from repro import limits as _limits
+
+    budget = _limits.current()
+    if budget is not None:
+        budget.check_deadline(expr.loc)
+    base_merged, base_dynamic = stats.merged, stats.left_dynamic
+    log_start = len(stats.log)
+
+    def compute() -> tuple:
+        out = _merge_or_rebuild(expr, stats, units_in_scope, go)
+        return (out, stats.merged - base_merged,
+                stats.left_dynamic - base_dynamic,
+                tuple(stats.log[log_start:]))
+
+    result, d_merged, d_dynamic, replay = _cache.lookup(
+        "flatten", lambda: memo_key, compute)
+    if len(stats.log) == log_start:
+        # A hit (a computed flatten always logs its own decision):
+        # replay what the skipped walk would have recorded.
+        stats.merged += d_merged
+        stats.left_dynamic += d_dynamic
+        stats.log.extend(replay)
+        _cache.replay_link_events(replay)
+    return result
+
+
+def _merge_or_rebuild(expr: CompoundExpr, stats: LinkStats,
+                      units_in_scope: dict[str, UnitExpr], go) -> Expr:
+    """Merge a compound whose resolved constituents are both unit
+    literals; otherwise rebuild it, left for run-time linking."""
+    def resolve(e: Expr) -> Expr:
+        flat = go(e)
+        if isinstance(flat, Var) and flat.name in units_in_scope:
+            return units_in_scope[flat.name]
+        return flat
+
+    first = resolve(expr.first.expr)
+    second = resolve(expr.second.expr)
+    rebuilt = CompoundExpr(
+        expr.imports, expr.exports,
+        LinkClause(first, expr.first.withs, expr.first.provides),
+        LinkClause(second, expr.second.withs, expr.second.provides),
+        expr.loc)
+    col = _obs_current()
+    if isinstance(first, UnitExpr) and isinstance(second, UnitExpr):
+        stats.merged += 1
+        if col is None:
+            out = merge_compound(rebuilt, first, second)
+        else:
+            # Span: the reduce.compound merge it triggers nests inside.
+            with col.span("link.static", {"merged": True}):
+                out = merge_compound(rebuilt, first, second)
+        if stats.log is not None:
+            stats.log.append(("m", len(first.defns) + len(second.defns)))
+        return out
+    stats.left_dynamic += 1
+    if col is not None:
+        col.emit("link.static", {"merged": False})
+    if stats.log is not None:
+        stats.log.append(("d",))
+    return rebuilt
 
 
 def link_and_optimize(
@@ -227,24 +240,19 @@ def link_and_optimize(
 
     stats = LinkStats()
     col = _obs_current()
-    if col is not None:
-        with col.timed("link.flatten"):
-            t0 = _time.perf_counter()
-            flat = flatten(expr, stats)
-            t1 = _time.perf_counter()
-        with col.timed("link.optimize"):
-            optimized = optimize_expr(flat)
-            if isinstance(optimized, UnitExpr):
-                optimized = optimize_unit(optimized)
-            t2 = _time.perf_counter()
-    else:
-        t0 = _time.perf_counter()
+
+    def timed(name: str):
+        return col.timed(name) if col is not None else nullcontext()
+
+    t0 = _time.perf_counter()
+    with timed("link.flatten"):
         flat = flatten(expr, stats)
-        t1 = _time.perf_counter()
+    t1 = _time.perf_counter()
+    with timed("link.optimize"):
         optimized = optimize_expr(flat)
         if isinstance(optimized, UnitExpr):
             optimized = optimize_unit(optimized)
-        t2 = _time.perf_counter()
+    t2 = _time.perf_counter()
     if timings is not None:
         timings["flatten"] = t1 - t0
         timings["optimize"] = t2 - t1

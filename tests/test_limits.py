@@ -370,11 +370,11 @@ class TestBudgetCacheInteraction:
             with budget_scope(dead):
                 with pytest.raises(BudgetExceeded):
                     check_unit(expr)
-            assert len(ucache.CHECK_CACHE) == 0
+            assert len(ucache.current_store().check) == 0
             # The same unit checks fine afterwards and only then lands
             # in the cache.
             check_unit(expr)
-            assert len(ucache.CHECK_CACHE) == 1
+            assert len(ucache.current_store().check) == 1
 
     def test_exhausted_run_leaves_no_cache_poison(self):
         # End-to-end: a budget-killed pipeline run must not make a
@@ -418,11 +418,11 @@ class TestBudgetCacheInteraction:
             with budget_scope(Budget(deadline_s=0.0)):
                 with pytest.raises(BudgetExceeded):
                     reduce_compound_expr(expr)
-            assert len(ucache.LINK_CACHE) == 0
+            assert len(ucache.current_store().link) == 0
             # The same compound merges fine afterwards and only then
             # lands in the store.
             reduce_compound_expr(expr)
-            assert len(ucache.LINK_CACHE) >= 1
+            assert len(ucache.current_store().link) >= 1
 
     def test_mid_merge_exhaustion_is_never_cached(self):
         # Exhaustion *inside* the merge (the substitution budget trips
@@ -435,6 +435,6 @@ class TestBudgetCacheInteraction:
             with budget_scope(Budget(subst_nodes=1)):
                 with pytest.raises(BudgetExceeded):
                     reduce_compound_expr(expr)
-            assert len(ucache.LINK_CACHE) == 0
+            assert len(ucache.current_store().link) == 0
             reduce_compound_expr(expr)
-            assert len(ucache.LINK_CACHE) >= 1
+            assert len(ucache.current_store().link) >= 1

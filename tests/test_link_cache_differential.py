@@ -186,10 +186,10 @@ class TestLinkFailuresReproduce:
         assert not [e for e in col.events if e.kind == "cache.hit"]
 
     def test_failed_merge_leaves_store_empty(self):
-        from repro.units.cache import LINK_CACHE
+        from repro.units.cache import current_store
 
         expr = parse_program(BAD_COMPOUND).expr
         with unit_cache_scope():
             with pytest.raises(UnitLinkError):
                 reduce_compound_expr(expr)
-            assert len(LINK_CACHE) == 0
+            assert len(current_store().link) == 0

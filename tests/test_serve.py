@@ -150,7 +150,7 @@ class TestExecuteRequest:
         cold = _execute(_request("run"), store=store)
         warm = _execute(_request("run"), store=store)
         assert cold["value"] == warm["value"] == "42"
-        assert len(store.parse) >= 1  # the shared parse tier was fed
+        assert len(store.dynlink) >= 1  # the shared parse tier was fed
 
     def test_registry_accumulates_across_requests(self):
         registry = MetricsRegistry()
@@ -267,6 +267,39 @@ class TestServerEndToEnd:
                 else:
                     assert late["status"] == "shutting-down"
                     assert exit_code_for(late) == 2
+
+    # Lifecycle races, each forced into its losing order rather than
+    # left to the scheduler.
+
+    def test_stop_is_idempotent(self):
+        st = ServerThread(ServeConfig(workers=1)).start()
+        st.stop()
+        st.stop()  # the loop is closed by now: a no-op, not an error
+        assert not st._thread.is_alive()
+
+    def test_stop_after_the_loop_has_exited(self):
+        st = ServerThread(ServeConfig(workers=1)).start()
+        # Drain via the loop itself, then wait until asyncio.run has
+        # closed the loop before stop() ever runs.
+        st.server._loop.call_soon_threadsafe(st.server.request_shutdown)
+        st._thread.join(timeout=30)
+        assert not st._thread.is_alive()
+        st.stop()
+
+    def test_shutdown_requested_from_a_foreign_thread(self):
+        import time
+
+        st = ServerThread(ServeConfig(workers=1)).start()
+        try:
+            with ServeClient(st.host, st.port) as client:
+                assert client.request("ping")["status"] == "ok"
+            time.sleep(0.2)  # let the loop go idle in its selector
+            st.server.request_shutdown()  # from this, non-loop thread
+            st._thread.join(timeout=10)
+            assert not st._thread.is_alive(), \
+                "off-loop shutdown request never woke the event loop"
+        finally:
+            st.stop()
 
 
 class TestChaosSweep:

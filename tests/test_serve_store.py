@@ -18,6 +18,10 @@ on:
 * disk writes are atomic (no ``.tmp`` residue, concurrent writers
   never produce a torn entry) and corrupt entries are unlinked and
   reported as misses;
+* the shared tier contract of ``cache.lookup`` — one hit-or-miss event
+  per lookup, a raising compute stores nothing, corrupt disk entries
+  read as misses and are unlinked, ``invalidate`` removes a digest's
+  file — holds for every row of ``cache.TIERS``;
 * eviction under churn is observationally invisible: a store so small
   it constantly evicts produces the same values/outputs as no cache
   at all (the ``tests/test_cache_differential.py`` pattern).
@@ -34,6 +38,7 @@ from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.pretty import show
 from repro.lang.values import to_write_string
+from repro.limits import BudgetExceeded
 from repro.units import cache as ucache
 from repro.units.cache import CacheStore, TermCache, cache_store_scope
 from repro.units.check import check_program
@@ -104,7 +109,7 @@ class TestConcurrentStore:
                 if populate:
                     ucache.cached_compile(program, lambda: program)
                 barrier.wait()
-                lens[name] = len(ucache.COMPILE_CACHE)
+                lens[name] = len(ucache.current_store().compile)
 
         threads = [threading.Thread(target=use, args=("a", a, True)),
                    threading.Thread(target=use, args=("b", b, False))]
@@ -179,7 +184,7 @@ class TestInvalidation:
         store = CacheStore(tmp_path)
         with cache_store_scope(store):
             ucache.cached_compile(program, lambda: program)
-            ucache.record_checked(program, True)
+            store.check.put((key, True), True)
         assert len(store.compile) == 1 and len(store.check) == 1
         assert store.invalidate(key) >= 3  # memory x2 + disk file
         assert len(store.compile) == 0 and len(store.check) == 0
@@ -190,42 +195,117 @@ class TestInvalidation:
         assert kinds == ["cache.miss"]
 
 
-class TestDiskTierHardening:
-    def test_atomic_write_no_residue(self, tmp_path):
+DISK_TIERS = [t.name for t in ucache.TIERS.values() if t.suffix]
+
+#: Per disk tier: damaged entries its decoder must reject (a
+#: truncated term, a parseable non-unit, a module without ``_main``).
+CORRUPT = [("compile", "((((not a program"), ("link", "((("),
+           ("link", "(+ 1 2)"), ("pycode", "def broken("),
+           ("pycode", "x = 1\n")]
+
+
+def _computed(name: str):
+    """A result ``compute`` may return for tier ``name``."""
+    if name == "pycode":
+        return "def _main(rt):\n    return 42\n"
+    return _programs(1)[0]
+
+
+class TestTierContract:
+    """The shared contract of :func:`repro.units.cache.lookup`, held
+    once over every row of the tier table."""
+
+    @pytest.mark.parametrize("name", list(ucache.TIERS))
+    def test_one_event_per_lookup(self, name, tmp_path):
+        key = terms.term_key(_programs(1)[0])
+        computed = []
+
+        def compute():
+            computed.append(name)
+            return _computed(name)
+
+        outcomes = []
+        for store in (CacheStore(tmp_path), CacheStore(tmp_path)):
+            for _ in range(2):
+                with cache_store_scope(store), obs.collecting() as col:
+                    ucache.lookup(name, lambda: key, compute)
+                events = [e for e in col.events
+                          if e.kind in ("cache.hit", "cache.miss")]
+                assert [e.fields["cache"] for e in events] == [name]
+                outcomes.append((events[0].kind,
+                                 events[0].fields.get("tier")))
+        # The second store starts cold in memory; only a tier with a
+        # disk tier can serve it from the first store's file.
+        fresh = (("cache.hit", "disk") if name in DISK_TIERS
+                 else ("cache.miss", None))
+        assert outcomes == [("cache.miss", None), ("cache.hit", "memory"),
+                            fresh, ("cache.hit", "memory")]
+        assert len(computed) == (1 if name in DISK_TIERS else 2)
+
+    @pytest.mark.parametrize("name", list(ucache.TIERS))
+    @pytest.mark.parametrize("error", [
+        BudgetExceeded("deadline", 0.0, 0.1), RuntimeError("boom")])
+    def test_failed_compute_stores_nothing(self, name, error, tmp_path):
+        key = terms.term_key(_programs(1)[0])
         store = CacheStore(tmp_path)
-        store.disk_write_text("compile", "abc123", "(unit (import) "
-                              "(export) 1)\n")
-        path = store._disk_path("compile", "abc123")
+
+        def compute():
+            raise error
+
+        with cache_store_scope(store):
+            with pytest.raises(type(error)):
+                ucache.lookup(name, lambda: key, compute)
+            assert len(getattr(store, name)) == 0
+            assert not list(tmp_path.rglob("*.*"))
+            with obs.collecting() as col:
+                ucache.lookup(name, lambda: key, lambda: _computed(name))
+        assert [e.kind for e in col.events
+                if e.kind.startswith("cache.")
+                and e.kind != "cache.evict"] == ["cache.miss"]
+
+
+class TestDiskTierHardening:
+    @pytest.mark.parametrize("name", DISK_TIERS)
+    def test_atomic_write_no_residue(self, name, tmp_path):
+        store = CacheStore(tmp_path)
+        store.disk_write(name, "abc123", "(unit (import) (export) 1)\n")
+        path = store._disk_path(name, "abc123")
         assert path.read_text().startswith("(unit")
         assert not list(tmp_path.rglob("*.tmp"))
 
-    def test_corrupt_entry_unlinked_on_read(self, tmp_path):
+    @pytest.mark.parametrize("name, text", CORRUPT)
+    def test_corrupt_entry_unlinked_on_read(self, name, text, tmp_path):
         store = CacheStore(tmp_path)
-        path = store._disk_path("compile", "deadbeef")
+        path = store._disk_path(name, "deadbeef")
         path.parent.mkdir(parents=True)
-        path.write_text("((((not a program")
-        assert store.disk_read_expr("compile", "deadbeef") is None
+        path.write_text(text)
+        assert store.disk_read(name, "deadbeef") is ucache._MISS
         assert not path.exists()
 
-    def test_corrupt_pycode_entry_unlinked(self, tmp_path):
+    @pytest.mark.parametrize("name", DISK_TIERS)
+    def test_invalidate_removes_the_file(self, name, tmp_path):
+        key = terms.term_key(_programs(1)[0])
         store = CacheStore(tmp_path)
-        path = store._disk_path("pycode", "feedface", suffix=".py")
-        path.parent.mkdir(parents=True)
-        path.write_text("x = 1\n")  # valid Python, but no _main
-        assert store.disk_read_pycode("feedface") is None
+        with cache_store_scope(store):
+            ucache.lookup(name, lambda: key, lambda: _computed(name))
+        path = store._disk_path(name, key)
+        assert path.exists()
+        assert store.invalidate(key) == 2  # the memory entry + the file
         assert not path.exists()
 
-    def test_unwritable_disk_degrades_to_memory(self, tmp_path,
+    @pytest.mark.parametrize("name", DISK_TIERS)
+    def test_unwritable_disk_degrades_to_memory(self, name, tmp_path,
                                                 monkeypatch):
         store = CacheStore(tmp_path)
         monkeypatch.setattr(
             ucache.os, "replace",
             lambda *a, **k: (_ for _ in ()).throw(OSError("full")))
-        program = _programs(1)[0]
+        key = terms.term_key(_programs(1)[0])
+        computed = _computed(name)
         with cache_store_scope(store):
-            out = ucache.cached_compile(program, lambda: program)
-        assert show(out) == show(program)
-        assert len(store.compile) == 1
+            out = ucache.lookup(name, lambda: key, lambda: computed)
+        assert out == ucache.TIERS[name].computed(computed)
+        assert len(getattr(store, name)) == 1
         assert not list(tmp_path.rglob("*.tmp"))
 
 
