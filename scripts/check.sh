@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh            # from the repository root
 #
-# Exits non-zero if the tests fail, if the traced phone-book demo
+# Exits non-zero if the tests or the benchmark generator tests
+# (perfbench/test_gen.py) fail, if the traced phone-book demo
 # fails, if the resulting trace does not cover all event families or
 # lacks a real span tree, if the demo's per-kind event counts drift
 # past the committed baseline (benchmarks/.metrics/baseline.json —
@@ -38,6 +39,11 @@ export PYTHONPATH
 
 echo "==> tier-1: pytest"
 python -m pytest -x -q
+
+echo "==> gate: benchmark generator tests"
+# The benchmark feeds the pipeline generated source text; a reader or
+# printer change that breaks those programs fails here, not mid-run.
+python -m pytest perfbench -q
 
 echo "==> gate: serve lifecycle tests, five runs in a row"
 # A lifecycle race that loses 2 runs in 5 must fail the gate, not
@@ -163,7 +169,7 @@ pycode_trace="$(mktemp)"
 trap 'rm -f "$trace_file" "$metrics_file" "$bench_out" "$bench_snap" \
     "$pycode_trace"; rm -rf "$pycode_cache_dir"' EXIT
 # Two demo runs against one cache dir: the first populates
-# v1-tk1/pycode/, the second must serve the code object from it.
+# v2-tk1/pycode/, the second must serve the code object from it.
 python -m repro --cache-dir "$pycode_cache_dir" \
     demo --backend pycode examples/phonebook.scm
 python -m repro --cache-dir "$pycode_cache_dir" --trace "$pycode_trace" \

@@ -14,7 +14,7 @@ backend is observationally equivalent and only faster.
 
 Generated source and code objects are cached content-addressed on the
 program's ``tk1`` digest (memory LRU + the ``--cache-dir`` disk tier
-at ``v1-tk1/pycode/<digest>.py``), via
+at ``v2-tk1/pycode/<digest>.py``), via
 :func:`repro.units.cache.cached_pycode`.
 """
 

@@ -42,7 +42,6 @@ Compilation strategy, node by node:
 from __future__ import annotations
 
 import itertools
-import math
 
 from repro.lang.ast import (
     App,
@@ -86,10 +85,17 @@ def _setbang_names(program: Expr) -> frozenset[str]:
     return frozenset(names)
 
 
+#: Non-finite floats spelled without builtins (generated modules run
+#: with an empty ``__builtins__``): ``1e999`` overflows to ``inf``.
+_NON_FINITE_LITERALS = {"inf": "1e999", "-inf": "(-1e999)",
+                        "nan": "(1e999 - 1e999)"}
+
+
 def _py_literal(value: object) -> str:
-    if isinstance(value, float) and (math.isinf(value) or math.isnan(value)):
-        return f"float({str(value)!r})"
-    return repr(value)
+    text = repr(value)
+    if isinstance(value, float):
+        return _NON_FINITE_LITERALS.get(text, text)
+    return text
 
 
 class _Gen:

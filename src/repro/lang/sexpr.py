@@ -5,7 +5,8 @@ MzScheme (the paper's host language).  The reader produces a small datum
 language:
 
 * ``Symbol`` — an interned identifier,
-* ``int`` / ``float`` — numbers,
+* ``int`` / ``float`` — numbers, ASCII only (``+inf.0``, ``-inf.0``
+  and ``+nan.0`` are the non-finite floats),
 * ``str`` — string literals,
 * ``bool`` — ``#t`` / ``#f``,
 * ``SList`` — a parenthesized sequence of data.
@@ -18,8 +19,11 @@ checks with hypothesis).
 
 from __future__ import annotations
 
+import math
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from repro import limits as _limits
 from repro.lang.errors import LexError, SrcLoc
@@ -82,161 +86,152 @@ def sym(name: str) -> Symbol:
     return Symbol(name)
 
 
-_DELIMS = set('()";')
-_WHITESPACE = set(" \t\r\n")
+_DELIMS = r' \t\r\n()\[\]";'
+
+#: Whitespace and ``;`` line comments between tokens.
+_ATMOSPHERE = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*")
+#: A string literal's body up to its close quote or first bad escape.
+_STRING_BODY = re.compile(r'[^"\\]*(?:\\[ntr"\\][^"\\]*)*')
+_NEWLINE = re.compile("\n")
+
+#: Atmosphere, then at most one token; ``lastindex`` names its kind.
+#: No token before the end of the text means a malformed string or
+#: ``#`` form, which :func:`_bad_token` diagnoses.  The token group is
+#: optional, so a match never backtracks into the atmosphere, and each
+#: string-body segment ends at a character it excludes, so plain greedy
+#: quantifiers backtrack at most linearly.
+_TOKEN = re.compile(rf"""{_ATMOSPHERE.pattern}(?:
+      ([^{_DELIMS}\#][^{_DELIMS}]*)                 # 1 atom
+    | ([(\[])                                       # 2 open
+    | ([)\]])                                       # 3 close
+    | ("{_STRING_BODY.pattern}")                    # 4 string
+    | \#([tf])(?![^{_DELIMS}])                      # 5 boolean
+    )?""", re.VERBOSE)
+
+#: ``[+-]?[0-9]+`` is an int; a decimal float (group 1) needs a ``.``
+#: or an exponent.  Apart from the non-finite floats below, every
+#: other atom is a symbol.
+_NUMBER = re.compile(r"[+-]?[0-9]+|([+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)"
+                     r"(?:[eE][+-]?[0-9]+)?|[+-]?[0-9]+[eE][+-]?[0-9]+)")
+_NON_FINITE = {"+inf.0": math.inf, "-inf.0": -math.inf, "+nan.0": math.nan}
+_PRINTED_NON_FINITE = {"inf": "+inf.0", "-inf": "-inf.0", "nan": "+nan.0"}
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 #: Maximum nesting depth the reader accepts.  Deeper input is almost
 #: certainly hostile or malformed; rejecting it with a LexError keeps
-#: the recursive reader within Python's stack.
+#: the recursive parsers that walk the data within Python's stack.
 MAX_NESTING_DEPTH = 250
 
 
-class _Reader:
-    """Internal cursor over source text, tracking line and column."""
-
-    def __init__(self, text: str, origin: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.origin = origin
-        self.depth = 0
-
-    def loc(self) -> SrcLoc:
-        return SrcLoc(self.line, self.col, self.origin)
-
-    def peek(self) -> str | None:
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_atmosphere(self) -> None:
-        """Skip whitespace and ``;`` line comments."""
-        while True:
-            ch = self.peek()
-            if ch is None:
-                return
-            if ch in _WHITESPACE:
-                self.advance()
-            elif ch == ";":
-                while self.peek() not in (None, "\n"):
-                    self.advance()
-            else:
-                return
-
-    def read(self) -> Datum:
-        self.skip_atmosphere()
-        loc = self.loc()
-        ch = self.peek()
-        if ch is None:
-            raise LexError("unexpected end of input", loc)
-        if ch == "(" or ch == "[":
-            return self._read_list(loc, ")" if ch == "(" else "]")
-        if ch == ")" or ch == "]":
-            raise LexError(f"unexpected '{ch}'", loc)
-        if ch == '"':
-            return self._read_string(loc)
-        if ch == "#":
-            return self._read_hash(loc)
-        return self._read_atom(loc)
-
-    def _read_list(self, loc: SrcLoc, closer: str) -> SList:
-        self.advance()  # opening paren
-        self.depth += 1
-        # An active budget with a max_depth cap governs reader nesting
-        # (check_depth raises BudgetExceeded past the cap); otherwise
-        # the structural limit below keeps the recursive reader within
-        # Python's stack.
-        budget = _limits.current()
-        governed = (budget is not None
-                    and budget.check_depth(self.depth, loc))
-        if not governed and self.depth > MAX_NESTING_DEPTH:
-            raise LexError(
-                f"nesting deeper than {MAX_NESTING_DEPTH} levels", loc)
-        try:
-            return self._read_list_items(loc, closer)
-        finally:
-            self.depth -= 1
-
-    def _read_list_items(self, loc: SrcLoc, closer: str) -> SList:
-        items: list[Datum] = []
-        while True:
-            self.skip_atmosphere()
-            ch = self.peek()
-            if ch is None:
-                raise LexError("unterminated list", loc)
-            if ch in ")]":
-                if ch != closer:
-                    raise LexError(
-                        f"mismatched close paren: expected '{closer}'", self.loc()
-                    )
-                self.advance()
-                return SList(tuple(items), loc)
-            items.append(self.read())
-
-    def _read_string(self, loc: SrcLoc) -> str:
-        self.advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self.peek()
-            if ch is None:
-                raise LexError("unterminated string literal", loc)
-            self.advance()
-            if ch == '"':
-                return "".join(chars)
-            if ch == "\\":
-                esc = self.peek()
-                if esc is None:
-                    raise LexError("unterminated escape in string literal", loc)
-                self.advance()
-                mapping = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-                if esc not in mapping:
-                    raise LexError(f"unknown string escape '\\{esc}'", loc)
-                chars.append(mapping[esc])
-            else:
-                chars.append(ch)
-
-    def _read_hash(self, loc: SrcLoc) -> Datum:
-        self.advance()  # '#'
-        ch = self.peek()
-        if ch in ("t", "f"):
-            self.advance()
-            nxt = self.peek()
-            if nxt is not None and nxt not in _WHITESPACE and nxt not in _DELIMS \
-                    and nxt not in ")]([":
-                raise LexError(f"bad token after #{ch}", loc)
-            return ch == "t"
-        raise LexError("unknown '#' syntax", loc)
-
-    def _read_atom(self, loc: SrcLoc) -> Datum:
-        chars: list[str] = []
-        while True:
-            ch = self.peek()
-            if ch is None or ch in _WHITESPACE or ch in "()[]\";":
-                break
-            chars.append(self.advance())
-        token = "".join(chars)
-        if not token:
-            raise LexError("empty token", loc)
+def _number(token: str) -> int | float | None:
+    """The number an atom spells, or ``None`` for a symbol."""
+    match = _NUMBER.fullmatch(token)
+    if match is None:
+        return _NON_FINITE.get(token)
+    if match.lastindex is None:
         try:
             return int(token)
-        except ValueError:
+        except ValueError:  # past Python's int-string digit limit
             pass
-        try:
-            return float(token)
-        except ValueError:
-            pass
-        return Symbol(token, loc)
+    return float(token)
+
+
+def _line_starts(text: str) -> list[int]:
+    """The offset at which each line of ``text`` starts."""
+    starts = [0]
+    starts += [m.end() for m in _NEWLINE.finditer(text)]
+    return starts
+
+
+def _loc(starts: list[int], at: int, origin: str) -> SrcLoc:
+    """The line and column of offset ``at``, given its line starts."""
+    line = bisect_right(starts, at)
+    return SrcLoc(line, at - starts[line - 1] + 1, origin)
+
+
+def _bad_token(text: str, pos: int, loc: SrcLoc) -> LexError:
+    """Diagnose the malformed string or ``#`` form at ``pos``."""
+    if text[pos] == "#":
+        ch = text[pos + 1:pos + 2]
+        if ch in ("t", "f"):
+            return LexError(f"bad token after #{ch}", loc)
+        return LexError("unknown '#' syntax", loc)
+    end = _STRING_BODY.match(text, pos + 1).end()
+    if end == len(text):
+        return LexError("unterminated string literal", loc)
+    esc = text[end + 1:end + 2]
+    if not esc:
+        return LexError("unterminated escape in string literal", loc)
+    return LexError(f"unknown string escape '\\{esc}'", loc)
+
+
+def _scan(text: str, origin: str) -> Iterator[tuple[Datum, int]]:
+    """Yield each top-level datum of ``text`` with its end offset.
+
+    One regex match per token; open lists live on an explicit stack,
+    and line/column come from a table of line starts.
+    """
+    budget = _limits.current()
+    starts = _line_starts(text)
+    numbers: dict[str, int | float | None] = {}
+    stack: list[tuple[list[Datum], SrcLoc, str]] = []
+    items: list[Datum] = []
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastindex
+        pos = m.end()
+        if kind == 1:
+            token = m[1]
+            datum = numbers.get(token, numbers)  # ``numbers``: a miss
+            if datum is numbers:
+                datum = numbers[token] = _number(token)
+            if datum is None:
+                datum = Symbol(token, _loc(starts, m.start(1), origin))
+        elif kind == 2:
+            loc = _loc(starts, m.start(2), origin)
+            items = []
+            stack.append((items, loc, ")" if m[2] == "(" else "]"))
+            depth = len(stack)
+            # An active budget with a max_depth cap governs reader
+            # nesting (check_depth raises BudgetExceeded past the cap);
+            # otherwise the structural limit applies.
+            if not (budget is not None and budget.check_depth(depth, loc)) \
+                    and depth > MAX_NESTING_DEPTH:
+                raise LexError(
+                    f"nesting deeper than {MAX_NESTING_DEPTH} levels", loc)
+            continue
+        elif kind == 3:
+            close = m[3]
+            if not stack:
+                raise LexError(f"unexpected '{close}'",
+                               _loc(starts, m.start(3), origin))
+            done, loc, closer = stack.pop()
+            if close != closer:
+                raise LexError(
+                    f"mismatched close paren: expected '{closer}'",
+                    _loc(starts, m.start(3), origin))
+            datum = SList(tuple(done), loc)
+            if stack:
+                items = stack[-1][0]
+        elif kind == 4:
+            datum = m[4][1:-1]
+            if "\\" in datum:
+                datum = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], datum)
+        elif kind == 5:
+            datum = m[5] == "t"
+        elif pos < len(text):
+            raise _bad_token(text, pos, _loc(starts, pos, origin))
+        elif stack:
+            raise LexError("unterminated list", stack[-1][1])
+        else:
+            return
+        if stack:
+            items.append(datum)
+        else:
+            yield datum, pos
 
 
 def read_sexpr(text: str, origin: str = "<string>") -> Datum:
@@ -245,23 +240,19 @@ def read_sexpr(text: str, origin: str = "<string>") -> Datum:
     Raises :class:`LexError` if the text is empty, malformed, or has
     trailing non-whitespace after the first datum.
     """
-    reader = _Reader(text, origin)
-    datum = reader.read()
-    reader.skip_atmosphere()
-    if reader.peek() is not None:
-        raise LexError("unexpected text after datum", reader.loc())
-    return datum
+    for datum, end in _scan(text, origin):
+        end = _ATMOSPHERE.match(text, end).end()
+        if end < len(text):
+            raise LexError("unexpected text after datum",
+                           _loc(_line_starts(text), end, origin))
+        return datum
+    raise LexError("unexpected end of input",
+                   _loc(_line_starts(text), len(text), origin))
 
 
 def read_all_sexprs(text: str, origin: str = "<string>") -> list[Datum]:
     """Read every datum in ``text`` and return them as a list."""
-    reader = _Reader(text, origin)
-    data: list[Datum] = []
-    while True:
-        reader.skip_atmosphere()
-        if reader.peek() is None:
-            return data
-        data.append(reader.read())
+    return [datum for datum, _ in _scan(text, origin)]
 
 
 def _escape_string(value: str) -> str:
@@ -287,8 +278,11 @@ def write_sexpr(datum: Datum) -> str:
     """Print a datum in reader syntax (single line)."""
     if isinstance(datum, bool):
         return "#t" if datum else "#f"
-    if isinstance(datum, (int, float)):
+    if isinstance(datum, int):
         return repr(datum)
+    if isinstance(datum, float):
+        text = repr(datum)
+        return _PRINTED_NON_FINITE.get(text, text)
     if isinstance(datum, str):
         return _escape_string(datum)
     if isinstance(datum, Symbol):

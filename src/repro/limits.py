@@ -103,6 +103,12 @@ class BudgetExceeded(ResourceError):
             f"(used {used})", loc)
 
 
+#: The ``max_depth`` cap of a link-server request's budget; also the
+#: reader's cap for ``repro bench`` sources, whose larger chains nest
+#: deeper than the ungoverned reader allows.
+REQUEST_MAX_DEPTH = 10_000
+
+
 class Budget:
     """Caps plus consumption counters for one governed execution.
 

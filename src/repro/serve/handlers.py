@@ -64,7 +64,7 @@ def request_budget(req: dict[str, object],
         deadline_s=deadline,
         eval_steps=req.get("eval_steps"),
         machine_steps=req.get("machine_steps"),
-        max_depth=10_000)
+        max_depth=_limits.REQUEST_MAX_DEPTH)
 
 
 def execute_request(req: dict[str, object], store: _ucache.CacheStore,

@@ -63,8 +63,9 @@ emits ``cache.evict`` with ``reason: "ttl"``).
 ``tk1`` digest — memory entries whose key embeds the digest, link-tier
 merges recorded as depending on it, and the digest's disk files.  The
 disk tier (``--cache-dir`` or ``REPRO_CACHE_DIR``) lives under a
-directory versioned by the digest schema (``v1-tk1/<tier>/``), so a
-schema change strands old entries instead of misreading them.
+directory versioned by the entry format and the digest schema
+(``DISK_LAYOUT``, ``v2-tk1/<tier>/``), so a change to either strands
+old entries instead of misreading them.
 """
 
 from __future__ import annotations
@@ -148,6 +149,12 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
 
 #: How many stripes the per-digest disk locks are spread over.
 _DIGEST_STRIPES = 64
+
+#: The disk tier's top directory: the entry-format version, then the
+#: digest schema.  Bump the version whenever printed entries change
+#: meaning (``v2``: non-finite floats print as ``+inf.0``, and a bare
+#: ``inf`` reads as a symbol), so old entries are stranded, not misread.
+DISK_LAYOUT = f"v2-{_terms.SCHEMA}"
 
 
 class TermCache:
@@ -350,7 +357,7 @@ class CacheStore:
         return self._stripes[hash((name, key)) % _DIGEST_STRIPES]
 
     def _disk_path(self, name: str, key: str) -> Path:
-        return self.disk_dir / f"v1-{_terms.SCHEMA}" / name \
+        return self.disk_dir / DISK_LAYOUT / name \
             / f"{key}{TIERS[name].suffix}"
 
     def disk_read(self, name: str, key: str) -> object:
@@ -621,7 +628,7 @@ def cached_parse(source: str, compute: Callable[[], Expr]) -> Expr:
 def cached_pycode(expr: Expr, generate: Callable[[], str]):
     """Generate + compile a program's Python module through the pycode
     tier: the code object in memory, the generated source at
-    ``v1-tk1/pycode/<digest>.py`` (codegen is deterministic in the
+    ``v2-tk1/pycode/<digest>.py`` (codegen is deterministic in the
     program's shape, so equal digests mean equal source)."""
     return lookup("pycode", lambda: _terms.try_term_key(expr), generate)
 

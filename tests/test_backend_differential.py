@@ -43,9 +43,25 @@ from repro.units.cache import unit_cache_scope
 from repro.units.check import check_program
 from repro.units.linker import link_and_optimize
 
-from tests.test_corpus import CASES, _matches
+from tests.test_corpus import CASES, Case, _matches
 
 MODES = ("off", "cold", "warm")
+
+#: Programs whose constants fold to non-finite floats.  The linked
+#: pycode pass embeds the folded ``Lit`` in generated source, which
+#: runs without builtins; the goldens are the runtime's written form.
+NON_FINITE_CASES = [
+    Case(name, source, expect, None, False, False, False)
+    for name, source, expect in (
+        ("inf-fold", "(invoke (unit (import) (export) (* 1e308 10.0)))",
+         "inf"),
+        ("neg-inf-fold", "(- 0 (* 1e308 10.0))", "-inf"),
+        ("nan-fold", "(- (* 1e308 10.0) (* 1e308 10.0))", "nan"),
+        ("non-finite-literals", "(list +inf.0 -inf.0 +nan.0)",
+         "(inf -inf nan)"),
+        ("inf-is-a-name", "(let ((inf 1) (nan 2)) (+ inf nan))", "3"),
+    )]
+SWEEP = CASES + NON_FINITE_CASES
 
 
 def _pass(case):
@@ -92,7 +108,7 @@ def _observe(case, mode):
 
 class TestBackendsAgreeOnTheCorpus:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+    @pytest.mark.parametrize("case", SWEEP, ids=lambda c: c.name)
     def test_corpus_case(self, case, mode):
         out = _observe(case, mode)
         assert out["pycode_value"] == out["value"]
@@ -105,7 +121,7 @@ class TestBackendsAgreeOnTheCorpus:
             assert out["machine_output"] == out["output"]
         assert _matches_str(out["value"], case)
 
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+    @pytest.mark.parametrize("case", SWEEP, ids=lambda c: c.name)
     def test_modes_agree(self, case):
         off, cold, warm = (_observe(case, m) for m in MODES)
         assert cold == off

@@ -175,7 +175,7 @@ class TestInvalidation:
         # though its own key never embeds that digest.
         assert all(not deps or first_key not in deps
                    for deps in store._link_deps.values())
-        disk = tmp_path / f"v1-{terms.SCHEMA}"
+        disk = tmp_path / ucache.DISK_LAYOUT
         assert not list(disk.glob(f"*/{first_key}.*"))
 
     def test_invalidate_plain_digest_entries(self, tmp_path):

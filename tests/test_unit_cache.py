@@ -189,7 +189,25 @@ class TestDiskCache:
         with unit_cache_scope(disk_dir=tmp_path):
             compile_expr(_unit())
         entry = next(tmp_path.rglob("*.scm"))
-        assert entry.parent.parent.name == f"v1-{terms.SCHEMA}"
+        assert entry.parent.parent.name == cache.DISK_LAYOUT
+
+    def test_folded_non_finite_literals_round_trip(self, tmp_path):
+        """A folded ``Lit(inf)`` is written as ``+inf.0`` and reads back
+        as the float, not as a variable named ``inf``."""
+        from repro.units.optimize import optimize_unit
+
+        unit = optimize_unit(parse_program(
+            "(unit (import) (export) (list (* 1e308 10.0)"
+            " (- 0 (* 1e308 10.0)) (- (* 1e308 10.0) (* 1e308 10.0))))"))
+        with unit_cache_scope(disk_dir=tmp_path):
+            original = compile_expr(unit)
+        text = next(tmp_path.rglob("*.scm")).read_text(encoding="utf-8")
+        assert "+inf.0" in text and "-inf.0" in text and "+nan.0" in text
+        with unit_cache_scope(disk_dir=tmp_path), obs.collecting() as col:
+            reloaded = compile_expr(unit)
+        hits = _cache_events(col, "cache.hit")
+        assert [e.fields["tier"] for e in hits] == ["disk"]
+        assert terms.term_key(reloaded) == terms.term_key(original)
 
 
 COMPOUND_SRC = """
@@ -251,7 +269,7 @@ class TestLinkDiskCache:
 
         with unit_cache_scope(disk_dir=tmp_path):
             original = reduce_compound_expr(_compound())
-        entries = list((tmp_path / f"v1-{terms.SCHEMA}" / "link")
+        entries = list((tmp_path / cache.DISK_LAYOUT / "link")
                        .glob("*.scm"))
         assert entries, "link disk tier wrote nothing"
         with unit_cache_scope(disk_dir=tmp_path), obs.collecting() as col:
@@ -285,7 +303,7 @@ class TestLinkDiskCache:
 
         with unit_cache_scope(disk_dir=tmp_path):
             original = reduce_compound_expr(_compound())
-        entry = next((tmp_path / f"v1-{terms.SCHEMA}" / "link")
+        entry = next((tmp_path / cache.DISK_LAYOUT / "link")
                      .glob("*.scm"))
         entry.write_text("(((", encoding="utf-8")
         with unit_cache_scope(disk_dir=tmp_path), obs.collecting() as col:
@@ -302,7 +320,7 @@ class TestLinkDiskCache:
 
         with unit_cache_scope(disk_dir=tmp_path):
             original = reduce_compound_expr(_compound())
-        entry = next((tmp_path / f"v1-{terms.SCHEMA}" / "link")
+        entry = next((tmp_path / cache.DISK_LAYOUT / "link")
                      .glob("*.scm"))
         entry.write_text("(+ 1 2)", encoding="utf-8")
         with unit_cache_scope(disk_dir=tmp_path), obs.collecting() as col:
@@ -319,7 +337,7 @@ PROGRAM_SRC = ("(invoke (unit (import) (export)"
 
 
 class TestPycodeCache:
-    """The codegen cache: generated Python under ``v1-tk1/pycode/``.
+    """The codegen cache: generated Python under ``v2-tk1/pycode/``.
 
     Same contract as every other store — strictly scoped, corrupt
     entries are misses that get unlinked, the layout is schema
@@ -392,7 +410,7 @@ class TestPycodeCache:
             self._run()
         entry = next(tmp_path.rglob("*.py"))
         assert entry.parent.name == "pycode"
-        assert entry.parent.parent.name == f"v1-{terms.SCHEMA}"
+        assert entry.parent.parent.name == cache.DISK_LAYOUT
 
 
 class TestParseCache:
