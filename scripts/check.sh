@@ -169,7 +169,8 @@ pycode_trace="$(mktemp)"
 trap 'rm -f "$trace_file" "$metrics_file" "$bench_out" "$bench_snap" \
     "$pycode_trace"; rm -rf "$pycode_cache_dir"' EXIT
 # Two demo runs against one cache dir: the first populates
-# v2-tk1/pycode/, the second must serve the code object from it.
+# <DISK_LAYOUT>/pycode/ (v2-tk2), the second must serve the code
+# object from it.
 python -m repro --cache-dir "$pycode_cache_dir" \
     demo --backend pycode examples/phonebook.scm
 python -m repro --cache-dir "$pycode_cache_dir" --trace "$pycode_trace" \
@@ -179,6 +180,7 @@ python - "$pycode_trace" "$pycode_cache_dir" <<'EOF'
 import pathlib
 import sys
 from repro.obs import read_jsonl
+from repro.units.cache import DISK_LAYOUT
 
 events = read_jsonl(sys.argv[1])
 hits = [e for e in events if e.kind == "cache.hit"
@@ -190,6 +192,9 @@ assert not misses, \
     f"second pycode demo run missed the codegen cache {len(misses)}x"
 entries = list(pathlib.Path(sys.argv[2]).rglob("pycode/*.py"))
 assert entries, "codegen disk tier wrote no entries"
+layout = pathlib.Path(sys.argv[2]) / DISK_LAYOUT / "pycode"
+stray = [p for p in entries if p.parent != layout]
+assert not stray, f"pycode entries outside {DISK_LAYOUT}/: {stray}"
 print(f"pycode cache ok: {len(hits)} hit(s), 0 misses, "
       f"{len(entries)} disk entr{'y' if len(entries) == 1 else 'ies'}")
 EOF

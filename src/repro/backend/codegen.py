@@ -14,16 +14,27 @@ names baked into the source are the fixed primitive/prelude table and
 the handful of runtime helpers injected by
 :func:`repro.backend.runtime.load_main`.  That determinism is what
 makes the emitted source safe to cache content-addressed on the
-program's ``tk1`` digest (:func:`repro.units.cache.cached_pycode`).
+program's ``tk2`` digest (:func:`repro.units.cache.cached_pycode`).
 
 Compilation strategy, node by node:
 
 * variables — locals read directly; letrec/unit/assigned bindings live
-  in :class:`~repro.lang.values.Cell` boxes and every boxed read checks
-  for ``UNDEFINED`` (the paper's "reference to undefined variable");
-  known, never-assigned globals are hoisted to ``_main``'s prologue;
-  unknown names compile to a raise *at the use site*, preserving the
-  interpreter's lazy failure for dead code;
+  in :class:`~repro.lang.values.Cell` boxes; known, never-assigned
+  globals are hoisted to ``_main``'s prologue; unknown names compile
+  to a raise *at the use site*, preserving the interpreter's lazy
+  failure for dead code;
+* definite initialization — a boxed read checks for ``UNDEFINED`` (the
+  paper's "reference to undefined variable") unless its cell is
+  provably initialized there: every cell of a letrec or unit read in
+  its body or init; in right-hand side *j*, the cells of the bindings
+  before *j*; cell *j* inside a ``lambda`` that *is* right-hand side
+  *j* (it cannot run before it is stored); and the cells of assigned
+  ``let`` and parameter binders, which are created full.  Imported
+  cells and every other read keep the check, since only a premature
+  reference can see an empty cell (Section 4.1.6).  An unchecked
+  read of a never-assigned name is emitted inline as ``cell.value``;
+  any other boxed read snapshots into a temporary, so a later
+  ``set!`` in the same expression cannot reorder it;
 * applications — a call in tail position returns a ``_Tail`` thunk for
   the caller's trampoline; non-tail calls go through ``rt.call``.  A
   call whose head is a known, unshadowed, never-assigned primitive is
@@ -57,7 +68,8 @@ from repro.lang.ast import (
 )
 from repro.lang.prelude import PRELUDE_NAMES
 from repro.lang.prims import OutputPort, make_global_env
-from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr, unit_children
+from repro.lang.subst import assigned_names
+from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
 
 #: Primitive name -> arity (None = variadic), from the one true table.
 PRIM_ARITY: dict[str, int | None] = {
@@ -67,22 +79,6 @@ PRIM_ARITY: dict[str, int | None] = {
 
 #: Every name the runtime installs globally: primitives plus prelude.
 KNOWN_GLOBALS: frozenset[str] = frozenset(PRIM_ARITY) | set(PRELUDE_NAMES)
-
-
-def _setbang_names(program: Expr) -> frozenset[str]:
-    """All names assigned anywhere in the program (unit bodies too).
-
-    One global over-approximation decides which binders need Cell
-    boxes; everything else stays a plain Python local.
-    """
-    names: set[str] = set()
-    stack = [program]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SetBang):
-            names.add(node.name)
-        stack.extend(unit_children(node))
-    return frozenset(names)
 
 
 #: Non-finite floats spelled without builtins (generated modules run
@@ -107,7 +103,9 @@ class _Gen:
         self.body: list[str] = []
         self.hoisted_globals: dict[str, str] = {}
         self.hoisted_prims: dict[str, str] = {}
-        self.assigned = _setbang_names(program)
+        #: One program-wide over-approximation decides which binders
+        #: need Cell boxes; everything else stays a plain Python local.
+        self.assigned = assigned_names(program)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -129,16 +127,23 @@ class _Gen:
 
     # -- variable access --------------------------------------------------
 
+    # A scope maps a source name to ``(kind, python name)``: ``"l"`` a
+    # plain local, ``"i"`` a cell known to be initialized, ``"c"`` a
+    # cell a read must check for ``UNDEFINED``.
+
     def _read_var(self, name: str, scope: dict, indent: int) -> str:
         binding = scope.get(name)
         if binding is not None:
             kind, py = binding
             if kind == "l":
                 return py
+            if kind == "i" and name not in self.assigned:
+                return f"{py}.value"
             tmp = self.fresh("t")
             self.out(indent, f"{tmp} = {py}.value")
-            self.out(indent, f"if {tmp} is _undef:")
-            self.out(indent + 1, "raise _undef_error()")
+            if kind == "c":
+                self.out(indent, f"if {tmp} is _undef:")
+                self.out(indent + 1, "raise _undef_error()")
             return tmp
         if name in KNOWN_GLOBALS:
             if name not in self.assigned:
@@ -159,7 +164,7 @@ class _Gen:
         if name in self.assigned:
             cell = self.fresh("c")
             self.out(indent, f"{cell} = _Cell({value})")
-            scope[name] = ("c", cell)
+            scope[name] = ("i", cell)
         else:
             local = self.fresh("v")
             self.out(indent, f"{local} = {value}")
@@ -196,16 +201,7 @@ class _Gen:
                 self._bind(name, value, inner, indent)
             return self.compile_expr(e.body, inner, indent)
         if isinstance(e, Letrec):
-            inner = dict(scope)
-            cells = []
-            for name, _ in e.bindings:
-                cell = self.fresh("c")
-                self.out(indent, f"{cell} = _Cell()")
-                inner[name] = ("c", cell)
-                cells.append(cell)
-            for (_, rhs), cell in zip(e.bindings, cells):
-                value = self.compile_expr(rhs, inner, indent)
-                self.out(indent, f"{cell}.value = {value}")
+            inner = self._letrec(e, scope, indent)
             return self.compile_expr(e.body, inner, indent)
         if isinstance(e, SetBang):
             self._setbang(e, scope, indent)
@@ -255,16 +251,7 @@ class _Gen:
             self.compile_tail(e.body, inner, indent)
             return
         if isinstance(e, Letrec):
-            inner = dict(scope)
-            cells = []
-            for name, _ in e.bindings:
-                cell = self.fresh("c")
-                self.out(indent, f"{cell} = _Cell()")
-                inner[name] = ("c", cell)
-                cells.append(cell)
-            for (_, rhs), cell in zip(e.bindings, cells):
-                value = self.compile_expr(rhs, inner, indent)
-                self.out(indent, f"{cell}.value = {value}")
+            inner = self._letrec(e, scope, indent)
             self.compile_tail(e.body, inner, indent)
             return
         if isinstance(e, App):
@@ -279,6 +266,38 @@ class _Gen:
 
     # -- the composite forms ----------------------------------------------
 
+    def _fill_cells(self, bindings, cells: list[str], inner: dict,
+                    indent: int) -> None:
+        """Evaluate each right-hand side into its cell, in order.
+
+        ``inner`` starts with every cell checked (``"c"``); a cell
+        turns ``"i"`` once its right-hand side has been stored,
+        or just before compiling a right-hand side that is itself a
+        ``lambda`` (its body cannot run before the store).  When this
+        returns, every cell in ``inner`` is initialized.
+        """
+        for (name, rhs), cell in zip(bindings, cells):
+            filled = ("i", cell)
+            if isinstance(rhs, Lambda) and inner[name] == ("c", cell):
+                inner[name] = filled
+            value = self.compile_expr(rhs, inner, indent)
+            self.out(indent, f"{cell}.value = {value}")
+            if inner[name] == ("c", cell):
+                inner[name] = filled
+
+    def _letrec(self, e: Letrec, scope: dict, indent: int) -> dict:
+        """Emit a letrec's cells and right-hand sides; returns the
+        body's scope."""
+        inner = dict(scope)
+        cells = []
+        for name, _ in e.bindings:
+            cell = self.fresh("c")
+            self.out(indent, f"{cell} = _Cell()")
+            inner[name] = ("c", cell)
+            cells.append(cell)
+        self._fill_cells(e.bindings, cells, inner, indent)
+        return inner
+
     def _lambda(self, e: Lambda, scope: dict, indent: int) -> str:
         fn = self.fresh("f")
         # Duplicate parameter names are legal in the calculus (the last
@@ -292,7 +311,7 @@ class _Gen:
             if name in self.assigned:
                 cell = self.fresh("c")
                 self.out(indent + 1, f"{cell} = _Cell({py})")
-                inner[name] = ("c", cell)
+                inner[name] = ("i", cell)
             else:
                 inner[name] = ("l", py)
         self.compile_tail(e.body, inner, indent + 1)
@@ -309,7 +328,7 @@ class _Gen:
             self.out(indent, f"{cell}.value = {value}")
             return
         kind, py = binding
-        assert kind == "c", f"set! target {e.name} not boxed"
+        assert kind != "l", f"set! target {e.name} not boxed"
         value = self.compile_expr(e.expr, scope, indent)
         self.out(indent, f"{py}.value = {value}")
 
@@ -374,9 +393,7 @@ class _Gen:
             defn_cells.append(cell)
         # Every cell is bound before any right-hand side runs: mutual
         # recursion across the unit body, exactly as in Figure 12.
-        for (_, rhs), cell in zip(e.defns, defn_cells):
-            value = self.compile_expr(rhs, inner, indent + 1)
-            self.out(indent + 1, f"{cell}.value = {value}")
+        self._fill_cells(e.defns, defn_cells, inner, indent + 1)
         init = self.fresh("f")
         self.out(indent + 1, f"def {init}():")
         self.compile_tail(e.init, inner, indent + 2)
@@ -405,6 +422,6 @@ def generate_source(program: Expr) -> str:
     ``_main(rt)`` evaluates the program against a
     :class:`repro.backend.runtime.Runtime` and returns its value.  The
     output is deterministic in the program's shape (locs excluded), so
-    equal ``tk1`` digests yield byte-identical source.
+    equal ``tk2`` digests yield byte-identical source.
     """
     return _Gen(program).module()

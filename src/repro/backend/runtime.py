@@ -168,7 +168,7 @@ def _prelude_main() -> tuple[FunctionType, tuple[str, ...]]:
         from repro.lang.ast import App, Letrec, Var
         from repro.lang.prelude import prelude_bindings
 
-        bindings = tuple(prelude_bindings())
+        bindings = prelude_bindings()
         names = tuple(name for name, _ in bindings)
         program = Letrec(
             bindings, App(Var("list"), tuple(Var(n) for n in names)))

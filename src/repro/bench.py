@@ -30,8 +30,11 @@ Every case starts from source text (``chain``/``sharing`` programs are
 built as ASTs and printed with ``show`` once, untimed), and each run
 reads it afresh: the ``parse`` stage times the reader and parser, under
 the link server's ``max_depth`` budget because the larger chains nest
-deeper than the ungoverned reader's cap.  ``parse`` is reported
-outside ``total``, so totals stay comparable with rows that predate it.
+deeper than the ungoverned reader's cap.  The ``digest`` stage times
+the ``tk2`` :func:`~repro.lang.terms.term_key` of a second fresh parse
+of the program, so the pipeline's own keying is left as it was.
+``parse`` and ``digest`` are reported outside ``total``, so totals stay
+comparable with rows that predate them.
 
 Each case reports best-of-``repeats`` wall seconds per configuration,
 per-stage breakdowns (with ``link.flatten``/``link.optimize``
@@ -70,8 +73,8 @@ from repro.units.check import check_program
 from repro.units.compile import compile_expr
 from repro.units.linker import link_and_optimize
 
-STAGES = ("parse", "check", "link", "link.flatten", "link.optimize",
-          "compile", "eval")
+STAGES = ("parse", "digest", "check", "link", "link.flatten",
+          "link.optimize", "compile", "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +171,21 @@ def _pipeline(program: Expr) -> dict[str, float]:
     return stages
 
 
+def _digest(source: str) -> float:
+    """Seconds to digest a fresh parse of ``source`` (cold, no memo)."""
+    program, _parse_s = _parse(source)
+    t0 = time.perf_counter()
+    _terms.term_key(program)
+    return time.perf_counter() - t0
+
+
 def _run(source: str) -> dict[str, float]:
-    """Parse ``source``, then :func:`_pipeline`; ``parse`` is not part
-    of ``total``."""
+    """Parse ``source``, then :func:`_pipeline`; ``parse`` and
+    ``digest`` are not part of ``total``."""
     program, parse_s = _parse(source)
     stages = _pipeline(program)
     stages["parse"] = parse_s
+    stages["digest"] = _digest(source)
     return stages
 
 
@@ -361,7 +373,8 @@ def _run_bench(quick: bool, out: str, snapshot: str | None,
         print(f"  uncached {r['uncached_s']:.3f}s   "
               f"cached {r['cached_s']:.3f}s ({r['speedup']}x)   "
               f"warm {r['warm_s']:.3f}s ({r['warm_speedup']}x)   "
-              f"parse {r['stages']['cached']['parse'] * 1e3:.2f}ms")
+              f"parse {r['stages']['cached']['parse'] * 1e3:.2f}ms   "
+              f"digest {r['stages']['cached']['digest'] * 1e3:.2f}ms")
         warm_p = r["percentiles"]["warm"]
         print("  warm p50/p99 ms: " + "   ".join(
             f"{stage} {warm_p[stage]['p50'] * 1e3:.2f}/"

@@ -122,6 +122,21 @@ def seq_of(*exprs: Expr) -> Expr:
     return Seq(tuple(exprs))
 
 
+def all_same(new: tuple, old: tuple) -> bool:
+    """Did a rewrite give back every node of ``old`` itself?
+
+    Rewrites (flattening, constant folding) return a node unchanged
+    when all its children came back unchanged, so memo fields on the
+    node survive.
+    """
+    return all(a is b for a, b in zip(new, old))
+
+
+def same_rhs(new: tuple, old: tuple) -> bool:
+    """:func:`all_same` for ``(name, expr)`` binding pairs."""
+    return all(a[1] is b[1] for a, b in zip(new, old))
+
+
 def children(expr: Expr) -> tuple[Expr, ...]:
     """Return the direct subexpressions of a core expression.
 

@@ -9,6 +9,8 @@ created.  This mirrors how any serious Scheme bootstraps its library.
 
 from __future__ import annotations
 
+from functools import cache
+
 PRELUDE_SOURCE = """
 (begin
   (define-into-global map
@@ -60,12 +62,14 @@ PRELUDE_NAMES = (
 )
 
 
+@cache
 def prelude_bindings() -> tuple:
     """The prelude as ``(name, expr)`` letrec bindings.
 
     Shared by :func:`install_prelude` and the codegen backend
     (:mod:`repro.backend.runtime`), which compiles the same letrec so
-    both evaluators bootstrap identical library procedures.
+    both evaluators bootstrap identical library procedures.  Read and
+    parsed once per process: the bindings are immutable syntax.
     """
     from repro.lang.parser import parse_expr
     from repro.lang.sexpr import read_sexpr, Symbol, SList
@@ -95,7 +99,7 @@ def install_prelude(interp) -> None:
 
     bindings = prelude_bindings()
     block = Letrec(
-        tuple(bindings),
+        bindings,
         App(Var("list"), tuple(Var(name) for name, _ in bindings)))
     from repro.lang.values import pairs_to_list
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.lang.errors import RunTimeError
+from repro.lang.sexpr import read_number, write_number
 from repro.lang.values import (
     EMPTY,
     Cell,
@@ -189,7 +190,7 @@ def make_global_env(port: OutputPort | None = None) -> Env:
     define("string-length", lambda a: len(_check_string(a, "string-length")), 1)
     define("string=?", lambda a, b: _check_string(a, "string=?") == _check_string(b, "string=?"), 2)
     define("substring", lambda s, i, j: _check_string(s, "substring")[_check_int(i, "substring"):_check_int(j, "substring")], 3)
-    define("number->string", lambda a: _format_number(_check_number(a, "number->string")), 1)
+    define("number->string", lambda a: write_number(_check_number(a, "number->string")), 1)
     define("string->number", _string_to_number, 1)
 
     # --- pairs and lists -------------------------------------------------
@@ -241,22 +242,9 @@ def make_global_env(port: OutputPort | None = None) -> Env:
     return env
 
 
-def _format_number(n: float | int) -> str:
-    if isinstance(n, int):
-        return str(n)
-    return repr(n)
-
-
 def _string_to_number(s: object):
-    text = _check_string(s, "string->number")
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return False
+    number = read_number(_check_string(s, "string->number"))
+    return False if number is None else number
 
 
 def _modulo(a: object, b: object):

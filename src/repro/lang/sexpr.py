@@ -124,8 +124,12 @@ _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 MAX_NESTING_DEPTH = 250
 
 
-def _number(token: str) -> int | float | None:
-    """The number an atom spells, or ``None`` for a symbol."""
+def read_number(token: str) -> int | float | None:
+    """The number an atom spells, or ``None`` for a symbol.
+
+    The one number grammar: the reader uses it for atoms and the
+    runtime's ``string->number`` for strings.
+    """
     match = _NUMBER.fullmatch(token)
     if match is None:
         return _NON_FINITE.get(token)
@@ -187,7 +191,7 @@ def _scan(text: str, origin: str) -> Iterator[tuple[Datum, int]]:
             token = m[1]
             datum = numbers.get(token, numbers)  # ``numbers``: a miss
             if datum is numbers:
-                datum = numbers[token] = _number(token)
+                datum = numbers[token] = read_number(token)
             if datum is None:
                 datum = Symbol(token, _loc(starts, m.start(1), origin))
         elif kind == 2:
@@ -274,15 +278,21 @@ def _escape_string(value: str) -> str:
     return "".join(out)
 
 
+def write_number(n: int | float) -> str:
+    """A number in reader syntax: the non-finite floats print as
+    ``+inf.0``, ``-inf.0`` and ``+nan.0``."""
+    text = repr(n)
+    if isinstance(n, float):
+        return _PRINTED_NON_FINITE.get(text, text)
+    return text
+
+
 def write_sexpr(datum: Datum) -> str:
     """Print a datum in reader syntax (single line)."""
     if isinstance(datum, bool):
         return "#t" if datum else "#f"
-    if isinstance(datum, int):
-        return repr(datum)
-    if isinstance(datum, float):
-        text = repr(datum)
-        return _PRINTED_NON_FINITE.get(text, text)
+    if isinstance(datum, (int, float)):
+        return write_number(datum)
     if isinstance(datum, str):
         return _escape_string(datum)
     if isinstance(datum, Symbol):

@@ -50,7 +50,13 @@ from repro.lang.ast import (
     SetBang,
     Var,
 )
-from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
+from repro.units.ast import (
+    CompoundExpr,
+    InvokeExpr,
+    LinkClause,
+    UnitExpr,
+    unit_children,
+)
 
 _counter = itertools.count()
 
@@ -144,6 +150,31 @@ def _free_vars(expr: Expr) -> frozenset[str]:
             out |= free_vars(rhs)
         return out
     raise TypeError(f"free_vars: unknown expression {expr!r}")
+
+
+def assigned_names(expr: Expr) -> frozenset[str]:
+    """Names targeted by ``set!`` anywhere in an expression, unit
+    bodies included (memoized per node, like :func:`free_vars`)."""
+    if _terms._enabled:
+        cached = expr.__dict__.get("_an")
+        if cached is not None:
+            return cached
+        out = _assigned_in(expr)
+        object.__setattr__(expr, "_an", out)
+        return out
+    return _assigned_in(expr)
+
+
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _assigned_in(expr: Expr) -> frozenset[str]:
+    out = frozenset((expr.name,)) if isinstance(expr, SetBang) else _NO_NAMES
+    for kid in unit_children(expr):
+        names = assigned_names(kid)
+        if names:
+            out = out | names if out else names
+    return out
 
 
 def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:

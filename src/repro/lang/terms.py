@@ -47,11 +47,11 @@ from repro.lang.ast import (
 )
 from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
 
-#: Version tag mixed into every digest.  Bump it whenever the
-#: serialization below changes shape: old digests (including on-disk
-#: cache entries, which live under a directory named after this tag)
-#: become unreachable instead of wrong.
-SCHEMA = "tk1"
+#: Version tag of the digest format, the BLAKE2b personalization of
+#: every node hash.  Bump it whenever a payload below changes shape:
+#: old digests (including on-disk cache entries, which live under a
+#: directory named after this tag) become unreachable instead of wrong.
+SCHEMA = "tk2"
 
 #: The global term-caching switch.  On by default; ``--no-term-cache``
 #: (or the environment variable) turns off memo reads *and* writes, so
@@ -93,16 +93,20 @@ class Unkeyable(TypeError):
     """
 
 
-_ATOM_TAGS = {int: b"i", float: b"f", str: b"s", bool: b"b"}
+_ATOM_TAGS = {int: "i", float: "f", str: "s", bool: "b"}
+_PERSON = SCHEMA.encode("ascii")
 
 
-def _put(h, *parts: str) -> None:
-    """Feed length-prefixed utf-8 strings (no concatenation ambiguity)."""
-    for part in parts:
-        data = part.encode("utf-8")
-        h.update(str(len(data)).encode("ascii"))
-        h.update(b":")
-        h.update(data)
+def hash_payload(payload: str) -> str:
+    """The ``SCHEMA``-personalized 32-char hex digest of one payload."""
+    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16,
+                           person=_PERSON).hexdigest()
+
+
+def encode_names(names) -> str:
+    """A name list as one unambiguous string: the count, then each
+    name length-prefixed (``2|1:a1:b`` is never ``1|2:ab``)."""
+    return f"{len(names)}|" + "".join(f"{len(n)}:{n}" for n in names)
 
 
 def term_key(expr: Expr) -> str:
@@ -113,14 +117,19 @@ def term_key(expr: Expr) -> str:
     ``compare=False``), so a parsed copy of a printed term keys the
     same as the original.  Raises :class:`Unkeyable` for terms holding
     non-literal run-time data.
+
+    One BLAKE2b call per node hashes that node's payload: a one-letter
+    tag, its names (:func:`encode_names`), and its children's keys,
+    which are fixed-width and memoized on the children — so digesting
+    a term after digesting its parts costs O(1) per part.
     """
     cached = expr.__dict__.get("_tk")
     if cached is not None:
         return cached
-    h = hashlib.blake2b(digest_size=16)
-    h.update(SCHEMA.encode("ascii"))
-    _feed(expr, h)
-    key = h.hexdigest()
+    payload = _PAYLOADS.get(type(expr))
+    if payload is None:
+        raise TypeError(f"term_key: unknown expression {expr!r}")
+    key = hash_payload(payload(expr))
     if _enabled:
         object.__setattr__(expr, "_tk", key)
     return key
@@ -134,96 +143,50 @@ def try_term_key(expr: Expr) -> str | None:
         return None
 
 
-def _feed_child(expr: Expr, h) -> None:
-    # Child digests are memoized on the child, so digesting a large
-    # term after digesting its parts costs O(1) per part.
-    _put(h, term_key(expr))
+def _lit(expr: Lit) -> str:
+    value = expr.value
+    if value is None:
+        return "Ln"
+    tag = _ATOM_TAGS.get(type(value))
+    if tag is None:
+        raise Unkeyable(
+            f"term embeds run-time data and cannot be content-"
+            f"addressed: {type(value).__name__}")
+    return "L" + tag + repr(value)
 
 
-def _feed(expr: Expr, h) -> None:
-    if isinstance(expr, Lit):
-        value = expr.value
-        if value is None:
-            h.update(b"Ln")
-            return
-        tag = _ATOM_TAGS.get(type(value))
-        if tag is None:
-            raise Unkeyable(
-                f"term embeds run-time data and cannot be content-"
-                f"addressed: {type(value).__name__}")
-        h.update(b"L")
-        h.update(tag)
-        _put(h, repr(value))
-        return
-    if isinstance(expr, Var):
-        h.update(b"V")
-        _put(h, expr.name)
-        return
-    if isinstance(expr, Lambda):
-        h.update(b"\\")
-        _put(h, *expr.params)
-        _feed_child(expr.body, h)
-        return
-    if isinstance(expr, App):
-        h.update(b"A")
-        _feed_child(expr.fn, h)
-        for arg in expr.args:
-            _feed_child(arg, h)
-        return
-    if isinstance(expr, If):
-        h.update(b"I")
-        for part in (expr.test, expr.then, expr.orelse):
-            _feed_child(part, h)
-        return
-    if isinstance(expr, (Let, Letrec)):
-        h.update(b"T" if isinstance(expr, Let) else b"R")
-        for name, rhs in expr.bindings:
-            _put(h, name)
-            _feed_child(rhs, h)
-        _feed_child(expr.body, h)
-        return
-    if isinstance(expr, SetBang):
-        h.update(b"!")
-        _put(h, expr.name)
-        _feed_child(expr.expr, h)
-        return
-    if isinstance(expr, Seq):
-        h.update(b"Q")
-        for sub in expr.exprs:
-            _feed_child(sub, h)
-        return
-    if isinstance(expr, UnitExpr):
-        h.update(b"U")
-        _put(h, *expr.imports)
-        h.update(b"/")
-        _put(h, *expr.exports)
-        h.update(b"/")
-        for name, rhs in expr.defns:
-            _put(h, name)
-            _feed_child(rhs, h)
-        _feed_child(expr.init, h)
-        return
-    if isinstance(expr, CompoundExpr):
-        h.update(b"C")
-        _put(h, *expr.imports)
-        h.update(b"/")
-        _put(h, *expr.exports)
-        for clause in (expr.first, expr.second):
-            h.update(b"(")
-            _feed_child(clause.expr, h)
-            _put(h, *clause.withs)
-            h.update(b"/")
-            _put(h, *clause.provides)
-            h.update(b")")
-        return
-    if isinstance(expr, InvokeExpr):
-        h.update(b"K")
-        _feed_child(expr.expr, h)
-        for name, rhs in expr.links:
-            _put(h, name)
-            _feed_child(rhs, h)
-        return
-    raise TypeError(f"term_key: unknown expression {expr!r}")
+def _bindings(pairs) -> str:
+    return f"{len(pairs)}|" + "".join(
+        f"{len(name)}:{name}{term_key(rhs)}" for name, rhs in pairs)
+
+
+def _compound(expr: CompoundExpr) -> str:
+    return "".join((
+        "C", encode_names(expr.imports), encode_names(expr.exports),
+        *(term_key(clause.expr) + encode_names(clause.withs)
+          + encode_names(clause.provides)
+          for clause in (expr.first, expr.second))))
+
+
+#: Node type -> payload builder.  Children contribute their 32-char
+#: keys, so only names need delimiting.
+_PAYLOADS = {
+    Lit: _lit,
+    Var: lambda e: "V" + e.name,
+    Lambda: lambda e: "\\" + encode_names(e.params) + term_key(e.body),
+    App: lambda e: "A" + term_key(e.fn) + "".join(map(term_key, e.args)),
+    If: lambda e: ("I" + term_key(e.test) + term_key(e.then)
+                   + term_key(e.orelse)),
+    Let: lambda e: "T" + _bindings(e.bindings) + term_key(e.body),
+    Letrec: lambda e: "R" + _bindings(e.bindings) + term_key(e.body),
+    SetBang: lambda e: f"!{len(e.name)}:{e.name}" + term_key(e.expr),
+    Seq: lambda e: "Q" + "".join(map(term_key, e.exprs)),
+    UnitExpr: lambda e: ("U" + encode_names(e.imports)
+                         + encode_names(e.exports) + _bindings(e.defns)
+                         + term_key(e.init)),
+    CompoundExpr: _compound,
+    InvokeExpr: lambda e: "K" + term_key(e.expr) + _bindings(e.links),
+}
 
 
 # ---------------------------------------------------------------------------

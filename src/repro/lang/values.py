@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.lang.errors import RunTimeError
+from repro.lang.sexpr import write_number
 
 
 class _Undefined:
@@ -307,7 +308,7 @@ def to_write_string(value: object) -> str:
     if value is False:
         return "#f"
     if isinstance(value, (int, float)):
-        return repr(value)
+        return write_number(value)
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, Pair):

@@ -60,11 +60,11 @@ Eviction and invalidation: every store is size-bounded (LRU); a
 ``ttl_s`` additionally expires entries by age at lookup time (expiry
 emits ``cache.evict`` with ``reason: "ttl"``).
 :meth:`CacheStore.invalidate` removes every entry derived from a given
-``tk1`` digest — memory entries whose key embeds the digest, link-tier
+``tk2`` digest — memory entries whose key embeds the digest, link-tier
 merges recorded as depending on it, and the digest's disk files.  The
 disk tier (``--cache-dir`` or ``REPRO_CACHE_DIR``) lives under a
 directory versioned by the entry format and the digest schema
-(``DISK_LAYOUT``, ``v2-tk1/<tier>/``), so a change to either strands
+(``DISK_LAYOUT``, ``v2-tk2/<tier>/``), so a change to either strands
 old entries instead of misreading them.
 """
 
@@ -154,6 +154,8 @@ _DIGEST_STRIPES = 64
 #: digest schema.  Bump the version whenever printed entries change
 #: meaning (``v2``: non-finite floats print as ``+inf.0``, and a bare
 #: ``inf`` reads as a symbol), so old entries are stranded, not misread.
+#: The ``tk2`` schema also strands pycode entries from the codegen that
+#: checked every boxed read for an undefined cell.
 DISK_LAYOUT = f"v2-{_terms.SCHEMA}"
 
 
@@ -252,7 +254,7 @@ class CacheStore:
     mode each worker process builds its own (single-threaded) store,
     and sibling workers share warm state *only* through the disk
     tiers: writes are atomic (per-process temp file + ``os.replace``)
-    and keys are content-addressed ``tk1`` digests, so concurrent
+    and keys are content-addressed ``tk2`` digests, so concurrent
     writers of the same key race to install identical bytes —
     last-replace-wins is correct by construction, with no
     cross-process locking.
@@ -279,7 +281,7 @@ class CacheStore:
         self._stripes = (tuple(threading.Lock()
                                for _ in range(_DIGEST_STRIPES))
                          if thread_safe else None)
-        #: link-merge key -> the two constituent ``tk1`` digests, so
+        #: link-merge key -> the two constituent ``tk2`` digests, so
         #: :meth:`invalidate` can find merges whose opaque key does not
         #: itself embed the digest.
         self._link_deps: dict[object, tuple[str, str]] = {}
@@ -299,7 +301,7 @@ class CacheStore:
         return {cache.name: len(cache) for cache in self.caches}
 
     def invalidate(self, digest: str) -> int:
-        """Drop every entry derived from one ``tk1`` digest.
+        """Drop every entry derived from one ``tk2`` digest.
 
         Covers memory entries whose key embeds the digest (compile,
         check, pycode, flatten, and the link tier's ``("opt", ...)``
@@ -556,7 +558,7 @@ def cached_compile(expr: Expr, compute: Callable[[], Expr]) -> Expr:
 def link_key(compound, first: Expr, second: Expr) -> str | None:
     """The content key of one compound-link step (hex), or ``None``.
 
-    Digests the two constituent units' ``tk1`` keys plus the link-graph
+    Digests the two constituent units' ``tk2`` keys plus the link-graph
     shape: the compound's imports/exports and each clause's
     with/provides name lists.  ``None`` when either constituent embeds
     run-time data (machine states are never cached).
@@ -567,21 +569,11 @@ def link_key(compound, first: Expr, second: Expr) -> str | None:
     k2 = _terms.try_term_key(second)
     if k2 is None:
         return None
-    h = hashlib.blake2b(digest_size=16)
-    h.update(_terms.SCHEMA.encode("ascii"))
-    h.update(b"merge")
-    for part in (k1, k2):
-        h.update(part.encode("ascii"))
-    for names in (compound.imports, compound.exports,
-                  compound.first.withs, compound.first.provides,
-                  compound.second.withs, compound.second.provides):
-        h.update(b"/")
-        for name in names:
-            data = name.encode("utf-8")
-            h.update(str(len(data)).encode("ascii"))
-            h.update(b":")
-            h.update(data)
-    return h.hexdigest()
+    return _terms.hash_payload("merge" + k1 + k2 + "".join(
+        _terms.encode_names(names)
+        for names in (compound.imports, compound.exports,
+                      compound.first.withs, compound.first.provides,
+                      compound.second.withs, compound.second.provides)))
 
 
 def cached_link(compound, first: Expr, second: Expr,
@@ -628,7 +620,7 @@ def cached_parse(source: str, compute: Callable[[], Expr]) -> Expr:
 def cached_pycode(expr: Expr, generate: Callable[[], str]):
     """Generate + compile a program's Python module through the pycode
     tier: the code object in memory, the generated source at
-    ``v2-tk1/pycode/<digest>.py`` (codegen is deterministic in the
+    ``v2-tk2/pycode/<digest>.py`` (codegen is deterministic in the
     program's shape, so equal digests mean equal source)."""
     return lookup("pycode", lambda: _terms.try_term_key(expr), generate)
 

@@ -32,7 +32,10 @@ from repro.lang.ast import (
     Seq,
     SetBang,
     Var,
+    all_same,
+    same_rhs,
 )
+from repro.lang.subst import assigned_names
 from repro.obs import current as _obs_current
 from repro.units import cache as _cache
 from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
@@ -68,17 +71,17 @@ def flatten(expr: Expr, stats: LinkStats | None = None) -> Expr:
     encloses it).
     """
     stats = stats if stats is not None else LinkStats()
-    from repro.units.optimize import _assigned_names
-
     if stats.log is None and _cache.unit_caches_active():
         stats.log = []
-    assigned = _assigned_names(expr)
-    return _flatten(expr, stats, {}, assigned)
+    return _flatten(expr, stats, {}, assigned_names(expr))
 
 
 def _flatten(expr: Expr, stats: LinkStats,
              units_in_scope: dict[str, UnitExpr],
              assigned: frozenset[str]) -> Expr:
+    """Flatten ``expr``; a node none of whose children changed is
+    returned itself, so its memoized digest and free variables live on
+    through optimization and codegen keying."""
     def go(e: Expr, scope=None) -> Expr:
         return _flatten(e, stats,
                         scope if scope is not None else units_in_scope,
@@ -96,18 +99,24 @@ def _flatten(expr: Expr, stats: LinkStats,
     if isinstance(expr, (Lit, Var)):
         return expr
     if isinstance(expr, Lambda):
-        return Lambda(expr.params,
-                      go(expr.body, scope_minus(expr.params)), expr.loc)
+        body = go(expr.body, scope_minus(expr.params))
+        return expr if body is expr.body \
+            else Lambda(expr.params, body, expr.loc)
     if isinstance(expr, App):
-        return App(go(expr.fn), tuple(go(a) for a in expr.args), expr.loc)
+        fn = go(expr.fn)
+        args = tuple(go(a) for a in expr.args)
+        return expr if fn is expr.fn and all_same(args, expr.args) \
+            else App(fn, args, expr.loc)
     if isinstance(expr, If):
-        return If(go(expr.test), go(expr.then), go(expr.orelse), expr.loc)
+        test, then, orelse = go(expr.test), go(expr.then), go(expr.orelse)
+        if test is expr.test and then is expr.then \
+                and orelse is expr.orelse:
+            return expr
+        return If(test, then, orelse, expr.loc)
     if isinstance(expr, (Let, Letrec)):
-        node = type(expr)
         bound = {n for n, _ in expr.bindings}
-        rhs_scope = scope_minus(bound) if isinstance(expr, Let) \
-            else None  # letrec: computed below, after flattening
         if isinstance(expr, Let):
+            rhs_scope = scope_minus(bound)
             new_bindings = tuple((n, go(e, rhs_scope))
                                  for n, e in expr.bindings)
         else:
@@ -125,24 +134,32 @@ def _flatten(expr: Expr, stats: LinkStats,
         for n, e in new_bindings:
             if isinstance(e, UnitExpr) and n not in assigned:
                 inner[n] = e
-        return node(new_bindings, go(expr.body, inner), expr.loc)
+        body = go(expr.body, inner)
+        if body is expr.body and same_rhs(new_bindings, expr.bindings):
+            return expr
+        return type(expr)(new_bindings, body, expr.loc)
     if isinstance(expr, SetBang):
-        return SetBang(expr.name, go(expr.expr), expr.loc)
+        value = go(expr.expr)
+        return expr if value is expr.expr \
+            else SetBang(expr.name, value, expr.loc)
     if isinstance(expr, Seq):
-        return Seq(tuple(go(e) for e in expr.exprs), expr.loc)
+        exprs = tuple(go(e) for e in expr.exprs)
+        return expr if all_same(exprs, expr.exprs) else Seq(exprs, expr.loc)
     if isinstance(expr, UnitExpr):
-        bound = set(expr.imports) | set(expr.defined)
-        inner = scope_minus(bound)
-        return UnitExpr(expr.imports, expr.exports,
-                        tuple((n, go(e, inner)) for n, e in expr.defns),
-                        go(expr.init, inner), expr.loc)
+        inner = scope_minus(set(expr.imports) | set(expr.defined))
+        defns = tuple((n, go(e, inner)) for n, e in expr.defns)
+        init = go(expr.init, inner)
+        if init is expr.init and same_rhs(defns, expr.defns):
+            return expr
+        return UnitExpr(expr.imports, expr.exports, defns, init, expr.loc)
     if isinstance(expr, CompoundExpr):
         return _flatten_compound(expr, stats, units_in_scope, assigned, go)
     if isinstance(expr, InvokeExpr):
-        return InvokeExpr(
-            go(expr.expr),
-            tuple((n, go(e)) for n, e in expr.links),
-            expr.loc)
+        unit = go(expr.expr)
+        links = tuple((n, go(e)) for n, e in expr.links)
+        if unit is expr.expr and same_rhs(links, expr.links):
+            return expr
+        return InvokeExpr(unit, links, expr.loc)
     raise TypeError(f"flatten: unknown expression {expr!r}")
 
 
@@ -196,11 +213,12 @@ def _merge_or_rebuild(expr: CompoundExpr, stats: LinkStats,
 
     first = resolve(expr.first.expr)
     second = resolve(expr.second.expr)
-    rebuilt = CompoundExpr(
-        expr.imports, expr.exports,
-        LinkClause(first, expr.first.withs, expr.first.provides),
-        LinkClause(second, expr.second.withs, expr.second.provides),
-        expr.loc)
+    rebuilt = expr if first is expr.first.expr \
+        and second is expr.second.expr else CompoundExpr(
+            expr.imports, expr.exports,
+            LinkClause(first, expr.first.withs, expr.first.provides),
+            LinkClause(second, expr.second.withs, expr.second.provides),
+            expr.loc)
     col = _obs_current()
     if isinstance(first, UnitExpr) and isinstance(second, UnitExpr):
         stats.merged += 1

@@ -39,18 +39,18 @@ from repro.lang.ast import (
     Seq,
     SetBang,
     Var,
-    seq_of,
+    all_same,
+    same_rhs,
 )
 from repro.lang.errors import LangError
 from repro.lang.prims import OutputPort, make_global_env
-from repro.lang.subst import free_vars
+from repro.lang.subst import assigned_names, free_vars, substitute
 from repro.lang.values import Primitive
 from repro.units.ast import (
     CompoundExpr,
     InvokeExpr,
     LinkClause,
     UnitExpr,
-    unit_children,
 )
 
 #: Primitives safe to evaluate at compile time on literal arguments.
@@ -83,14 +83,15 @@ def fold_constants(expr: Expr, bound: frozenset[str]) -> Expr:
     """Bottom-up constant folding of pure primitive applications.
 
     ``bound`` tracks locally bound names: a shadowed primitive name is
-    not foldable.
+    not foldable.  A node none of whose children changed is returned
+    itself, keeping its memoized digest and free variables.
     """
     if isinstance(expr, (Lit, Var)):
         return expr
     if isinstance(expr, Lambda):
-        return Lambda(expr.params,
-                      fold_constants(expr.body, bound | set(expr.params)),
-                      expr.loc)
+        body = fold_constants(expr.body, bound | set(expr.params))
+        return expr if body is expr.body \
+            else Lambda(expr.params, body, expr.loc)
     if isinstance(expr, App):
         fn = fold_constants(expr.fn, bound)
         args = tuple(fold_constants(a, bound) for a in expr.args)
@@ -103,70 +104,57 @@ def fold_constants(expr: Expr, bound: frozenset[str]) -> Expr:
             except LangError:
                 # Folding must not turn a run-time error into silence;
                 # leave the application for run time.
-                return App(fn, args, expr.loc)
-            if isinstance(value, (int, float, str, bool, type(None))):
-                return Lit(value, expr.loc)
-        return App(fn, args, expr.loc)
+                pass
+            else:
+                if isinstance(value, (int, float, str, bool, type(None))):
+                    return Lit(value, expr.loc)
+        return expr if fn is expr.fn and all_same(args, expr.args) \
+            else App(fn, args, expr.loc)
     if isinstance(expr, If):
         test = fold_constants(expr.test, bound)
         then = fold_constants(expr.then, bound)
         orelse = fold_constants(expr.orelse, bound)
         if _is_literal(test):
             return then if test.value is not False else orelse
+        if test is expr.test and then is expr.then \
+                and orelse is expr.orelse:
+            return expr
         return If(test, then, orelse, expr.loc)
-    if isinstance(expr, Let):
-        new_bindings = tuple((n, fold_constants(e, bound))
-                             for n, e in expr.bindings)
+    if isinstance(expr, (Let, Letrec)):
         inner = bound | {n for n, _ in expr.bindings}
-        return Let(new_bindings, fold_constants(expr.body, inner), expr.loc)
-    if isinstance(expr, Letrec):
-        inner = bound | {n for n, _ in expr.bindings}
-        new_bindings = tuple((n, fold_constants(e, inner))
+        rhs_bound = bound if isinstance(expr, Let) else inner
+        new_bindings = tuple((n, fold_constants(e, rhs_bound))
                              for n, e in expr.bindings)
-        return Letrec(new_bindings, fold_constants(expr.body, inner),
-                      expr.loc)
+        body = fold_constants(expr.body, inner)
+        if body is expr.body and same_rhs(new_bindings, expr.bindings):
+            return expr
+        return type(expr)(new_bindings, body, expr.loc)
     if isinstance(expr, SetBang):
-        return SetBang(expr.name, fold_constants(expr.expr, bound),
-                       expr.loc)
+        value = fold_constants(expr.expr, bound)
+        return expr if value is expr.expr \
+            else SetBang(expr.name, value, expr.loc)
     if isinstance(expr, Seq):
-        return Seq(tuple(fold_constants(e, bound) for e in expr.exprs),
-                   expr.loc)
+        exprs = tuple(fold_constants(e, bound) for e in expr.exprs)
+        return expr if all_same(exprs, expr.exprs) else Seq(exprs, expr.loc)
     if isinstance(expr, UnitExpr):
         return optimize_unit(expr)
     if isinstance(expr, CompoundExpr):
+        first = fold_constants(expr.first.expr, bound)
+        second = fold_constants(expr.second.expr, bound)
+        if first is expr.first.expr and second is expr.second.expr:
+            return expr
         return CompoundExpr(
             expr.imports, expr.exports,
-            LinkClause(fold_constants(expr.first.expr, bound),
-                       expr.first.withs, expr.first.provides),
-            LinkClause(fold_constants(expr.second.expr, bound),
-                       expr.second.withs, expr.second.provides),
+            LinkClause(first, expr.first.withs, expr.first.provides),
+            LinkClause(second, expr.second.withs, expr.second.provides),
             expr.loc)
     if isinstance(expr, InvokeExpr):
-        return InvokeExpr(
-            fold_constants(expr.expr, bound),
-            tuple((n, fold_constants(e, bound)) for n, e in expr.links),
-            expr.loc)
+        unit = fold_constants(expr.expr, bound)
+        links = tuple((n, fold_constants(e, bound)) for n, e in expr.links)
+        if unit is expr.expr and same_rhs(links, expr.links):
+            return expr
+        return InvokeExpr(unit, links, expr.loc)
     raise TypeError(f"fold_constants: unknown expression {expr!r}")
-
-
-def _assigned_names(expr: Expr) -> frozenset[str]:
-    """Names targeted by set! anywhere in an expression."""
-    out: set[str] = set()
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, SetBang):
-            out.add(e.name)
-            walk(e.expr)
-            return
-        try:
-            kids = unit_children(e)
-        except TypeError:
-            return
-        for kid in kids:
-            walk(kid)
-
-    walk(expr)
-    return frozenset(out)
 
 
 def optimize_unit(unit: UnitExpr, rounds: int = 4) -> UnitExpr:
@@ -175,7 +163,9 @@ def optimize_unit(unit: UnitExpr, rounds: int = 4) -> UnitExpr:
     The unit's interface is the boundary: imports are opaque, exports
     are roots.  The result has the same interface and — because only
     valuable (effect-free) definitions are touched — the same
-    behaviour; the differential tests check that claim.
+    behaviour; the differential tests check that claim.  A round that
+    changes nothing returns its input itself, so the fixpoint test is
+    an identity check.
     """
     from repro.units.cache import cached_optimize
 
@@ -183,7 +173,7 @@ def optimize_unit(unit: UnitExpr, rounds: int = 4) -> UnitExpr:
         current = unit
         for _ in range(rounds):
             step = _optimize_unit_once(current)
-            if step == current:
+            if step is current:
                 return step
             current = step
         return current
@@ -194,8 +184,7 @@ def optimize_unit(unit: UnitExpr, rounds: int = 4) -> UnitExpr:
 
 
 def _optimize_unit_once(unit: UnitExpr) -> UnitExpr:
-    assigned = _assigned_names(
-        Seq(tuple(e for _, e in unit.defns) + (unit.init,)))
+    assigned = assigned_names(unit)
 
     # 1. Constant-fold every right-hand side and the init.
     bound = frozenset(unit.imports) | frozenset(unit.defined)
@@ -208,8 +197,6 @@ def _optimize_unit_once(unit: UnitExpr) -> UnitExpr:
         name: rhs for name, rhs in defns
         if _is_literal(rhs) and name not in assigned}
     if inline:
-        from repro.lang.subst import substitute
-
         defns = [(name, substitute(rhs, {k: v for k, v in inline.items()
                                          if k != name}))
                  for name, rhs in defns]
@@ -232,6 +219,9 @@ def _optimize_unit_once(unit: UnitExpr) -> UnitExpr:
                 frontier.append(dep)
     new_defns = tuple((name, rhs) for name, rhs in defns if name in live)
 
+    if init is unit.init and len(new_defns) == len(unit.defns) \
+            and same_rhs(new_defns, unit.defns):
+        return unit
     return UnitExpr(unit.imports, unit.exports, new_defns, init, unit.loc)
 
 

@@ -54,11 +54,11 @@ NON_FINITE_CASES = [
     Case(name, source, expect, None, False, False, False)
     for name, source, expect in (
         ("inf-fold", "(invoke (unit (import) (export) (* 1e308 10.0)))",
-         "inf"),
-        ("neg-inf-fold", "(- 0 (* 1e308 10.0))", "-inf"),
-        ("nan-fold", "(- (* 1e308 10.0) (* 1e308 10.0))", "nan"),
+         "+inf.0"),
+        ("neg-inf-fold", "(- 0 (* 1e308 10.0))", "-inf.0"),
+        ("nan-fold", "(- (* 1e308 10.0) (* 1e308 10.0))", "+nan.0"),
         ("non-finite-literals", "(list +inf.0 -inf.0 +nan.0)",
-         "(inf -inf nan)"),
+         "(+inf.0 -inf.0 +nan.0)"),
         ("inf-is-a-name", "(let ((inf 1) (nan 2)) (+ inf nan))", "3"),
     )]
 SWEEP = CASES + NON_FINITE_CASES
@@ -154,7 +154,38 @@ ERROR_PROGRAMS = (
      RunTimeError),
     ("missing-import", "(invoke (unit (import x) (export) x))",
      UnitLinkError),
+    # Definite-initialization boundaries: the codegen drops the
+    # undefined-cell check only where it cannot fire, so each premature
+    # read below must still die exactly as in the interpreter.
+    ("lambda-in-rhs-reads-later-cell",
+     "(letrec ((f (let ((k 1)) (lambda () (+ k g)))) (b (f)) (g 2)) b)",
+     RunTimeError),
+    ("self-read-in-invoked-rhs",
+     "(letrec ((x ((lambda () x)))) x)", RunTimeError),
+    ("unit-defn-calls-later-lambda",
+     "(invoke (unit (import) (export) (define a (f))"
+     " (define f (lambda () a)) a))", RunTimeError),
+    ("import-read-before-export-defined",
+     "(invoke (compound (import) (export)"
+     " (link ((unit (import b) (export a) (define a (b)) (void))"
+     " (with b) (provides a))"
+     " ((unit (import a) (export b) (define b (lambda () a)) (void))"
+     " (with a) (provides b)))))", RunTimeError),
+    ("set-defined-cell-read-in-init",
+     '(invoke (unit (import) (export) (define x "early")'
+     ' (define late (lambda () (set! x "late") "!"))'
+     " (error x (late))))", RunTimeError),
 )
+
+#: The error programs the strict checker accepts; they are checked
+#: strictly, the rest (non-valuable unit definitions) leniently.
+STRICT_ERROR_PROGRAMS = frozenset({
+    "apply-non-procedure", "arity-mismatch", "prim-arity-mismatch",
+    "prim-domain", "division-by-zero", "user-error",
+    "letrec-premature-read", "unbound-global", "missing-import",
+    "lambda-in-rhs-reads-later-cell", "self-read-in-invoked-rhs",
+    "set-defined-cell-read-in-init",
+})
 
 
 def _failure(run, expr):
@@ -179,7 +210,7 @@ class TestErrorTaxonomyAgrees:
         "name,source,exc", ERROR_PROGRAMS, ids=[e[0] for e in ERROR_PROGRAMS])
     def test_same_type_and_message(self, name, source, exc, mode):
         expr = parse_program(source)
-        check_program(expr, strict_valuable=False)
+        check_program(expr, strict_valuable=name in STRICT_ERROR_PROGRAMS)
         cached = mode != "off"
         with terms.caching(cached):
             scope = unit_cache_scope() if cached else nullcontext()

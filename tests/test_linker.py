@@ -1,11 +1,29 @@
 """Tests for the whole-program static linker (flatten + optimize)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.lang.ast import (
+    App,
+    If,
+    Lambda,
+    Let,
+    Letrec,
+    Lit,
+    Seq,
+    SetBang,
+    Var,
+)
 from repro.lang.interp import Interpreter, run_program
 from repro.lang.parser import parse_program
+from repro.lang.terms import term_key
 from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
+from repro.units.cache import unit_cache_scope
 from repro.units.linker import LinkStats, flatten, link_and_optimize
+from repro.units.optimize import fold_constants, optimize_expr
+
+from tests.test_corpus import CASES
 
 
 def contains_compound(expr) -> bool:
@@ -213,3 +231,96 @@ class TestLinkAndOptimize:
         interp = Interpreter()
         assert interp.eval(linked) == direct_result
         assert interp.port.getvalue() == direct_output
+
+
+# ---------------------------------------------------------------------------
+# The sharing contract: rewrites return unchanged nodes themselves, so
+# digests and free-variable sets memoized during checking survive into
+# link, optimize and codegen keying.
+# ---------------------------------------------------------------------------
+
+_names = st.sampled_from(["f", "g", "x", "y"])
+_leaves = st.one_of(_names.map(Var), st.integers(0, 3).map(Lit),
+                    st.sampled_from(["", "s"]).map(Lit))
+
+
+def _rewrite_free(kids):
+    """Compound-free terms whose every node folding leaves alone:
+    applications of non-primitive heads, non-literal ``if`` tests, and
+    units whose definitions are all exported lambdas."""
+    pairs = st.lists(st.tuples(_names, kids), max_size=2,
+                     unique_by=lambda p: p[0]).map(tuple)
+    params = st.lists(_names, max_size=2, unique=True).map(tuple)
+    heads = st.sampled_from(["f", "g"]).map(Var)
+
+    @st.composite
+    def units(draw):
+        defns = draw(st.lists(
+            st.tuples(st.sampled_from(["d1", "d2"]),
+                      st.builds(Lambda, params, kids)),
+            max_size=2, unique_by=lambda d: d[0]).map(tuple))
+        return UnitExpr(draw(params), tuple(n for n, _ in defns), defns,
+                        draw(kids))
+
+    unit_like = st.one_of(units(), _names.map(Var))
+    return st.one_of(
+        st.builds(Lambda, params, kids),
+        st.builds(App, heads, st.lists(kids, max_size=2).map(tuple)),
+        st.builds(If, _names.map(Var), kids, kids),
+        st.builds(Let, pairs, kids),
+        st.builds(Letrec, pairs, kids),
+        st.builds(SetBang, _names, kids),
+        st.builds(Seq, st.lists(kids, min_size=1, max_size=3).map(tuple)),
+        units(),
+        st.builds(InvokeExpr, unit_like, pairs),
+    )
+
+
+REWRITE_FREE = st.recursive(_leaves, _rewrite_free, max_leaves=10)
+
+
+class TestSharingContract:
+    @settings(max_examples=200, deadline=None)
+    @given(REWRITE_FREE)
+    def test_rewrite_free_terms_come_back_identically(self, term):
+        assert flatten(term) is term
+        assert fold_constants(term, frozenset()) is term
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+    def test_corpus_rewrites_keep_unchanged_programs(self, case):
+        program = parse_program(case.source)
+        flat = flatten(program)
+        if not contains_compound(program):
+            assert flat is program
+        folded = optimize_expr(flat)
+        if folded == flat:
+            assert folded is flat
+
+    def test_unit_digest_survives_link_and_optimize(self):
+        program = parse_program("""
+            (invoke (unit (import) (export f)
+                      (define f (lambda (n) (g n)))
+                      (define g (lambda (n) n))
+                      (f 1)))""")
+        key = term_key(program.expr)
+        with unit_cache_scope():
+            linked, _stats = link_and_optimize(program)
+        assert linked is program
+        assert linked.expr.__dict__["_tk"] == key
+
+    def test_merged_program_keeps_its_unchanged_parts(self):
+        program = parse_program("""
+            (invoke (compound (import) (export)
+              (link ((unit (import) (export f)
+                       (define f (lambda (n) (* n 2))) (void))
+                     (with) (provides f))
+                    ((unit (import f) (export)
+                       (define g (lambda (n) (f n))) (g 21))
+                     (with f) (provides)))))""")
+        f_rhs = program.expr.first.expr.defns[0][1]
+        key = term_key(f_rhs)
+        linked, stats = link_and_optimize(program)
+        assert stats.merged == 1
+        merged = dict(linked.expr.defns)
+        assert merged["f"] is f_rhs
+        assert merged["f"].__dict__["_tk"] == key

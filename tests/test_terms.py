@@ -7,12 +7,32 @@ every memo path off, and ``fresh_like`` keeps generated names bounded
 no matter how many rename generations a term survives.
 """
 
+import copy
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.lang import terms
-from repro.lang.ast import App, Lambda, Lit, Var
+from repro.lang.ast import (
+    App,
+    If,
+    Lambda,
+    Let,
+    Letrec,
+    Lit,
+    Seq,
+    SetBang,
+    Var,
+)
 from repro.lang.parser import parse_program
-from repro.lang.subst import fresh_like, free_vars, substitute
+from repro.lang.subst import (
+    assigned_names,
+    fresh_like,
+    free_vars,
+    substitute,
+)
+from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
 
 UNIT_SRC = ("(unit (import a) (export f)"
             " (define f (lambda (x) (+ x a))) (void))")
@@ -72,6 +92,116 @@ class TestTermKey:
         terms.term_key(keyed)
         free_vars(keyed)
         assert plain == keyed
+
+
+X = Var("x")
+Y = Var("y")
+
+
+def _unit(imports, exports):
+    return UnitExpr(imports, exports, (), X)
+
+
+def _compound(imports, exports):
+    clause = LinkClause(X, (), ())
+    return CompoundExpr(imports, exports, clause, clause)
+
+
+#: Structurally different terms a naive serialization could confuse.
+NEAR_MISSES = [
+    ("params split", Lambda(("a", "b"), X), Lambda(("ab",), X)),
+    ("digits in names", Lambda(("a1",), X), Lambda(("a", "1"), X)),
+    ("length-like names", Lambda(("1:a",), X), Lambda(("1", "a"), X)),
+    ("count-like names", Lambda(("1|1:a",), X), Lambda(("a",), X)),
+    ("bar in names", Lambda(("a|b",), X), Lambda(("a", "b"), X)),
+    ("colon var", Var("1:a"), Var("a")),
+    ("let vs letrec", Let((("a", X),), Y), Letrec((("a", X),), Y)),
+    ("binding split", Let((("a", X), ("b", X)), Y),
+     Let((("ab", X),), Seq((X, Y)))),
+    ("import/export split", _unit(("a", "b"), ()), _unit(("a",), ("b",))),
+    ("compound split", _compound(("a",), ("b",)), _compound((), ("a", "b"))),
+    ("clause names", CompoundExpr((), (), LinkClause(X, ("a",), ()),
+                                  LinkClause(X, (), ())),
+     CompoundExpr((), (), LinkClause(X, (), ("a",)),
+                  LinkClause(X, (), ()))),
+    ("app arity", App(X, (Y, Y)), App(App(X, (Y,)), (Y,))),
+    ("app vs seq", App(X, (Y,)), Seq((X, Y))),
+    ("literal types", Lit(1), Lit("1")),
+    ("literal vs var", Lit("x"), X),
+    ("set! names", SetBang("a1", X), SetBang("a", Lit(1))),
+    ("invoke links", InvokeExpr(X, (("a", Y),)),
+     InvokeExpr(X, (("a", Y), ("b", Y)))),
+]
+
+
+class TestKeyInjectivity:
+    @pytest.mark.parametrize("name,a,b", NEAR_MISSES,
+                             ids=[m[0] for m in NEAR_MISSES])
+    def test_near_misses_get_distinct_keys(self, name, a, b):
+        assert a != b
+        assert terms.term_key(a) != terms.term_key(b)
+
+    def test_schema_is_tk2(self):
+        from repro.units.cache import DISK_LAYOUT
+
+        assert terms.SCHEMA == "tk2"
+        assert DISK_LAYOUT == "v2-tk2"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_keys_agree_with_equality(self, data):
+        a = data.draw(TERMS)
+        b = data.draw(TERMS)
+        twin = copy.deepcopy(a)  # before any key is memoized on ``a``
+        assert (terms.term_key(a) == terms.term_key(b)) == (a == b)
+        assert terms.term_key(twin) == terms.term_key(a)
+
+
+# Literals are drawn from types Python never equates with each other
+# (``Lit(1) == Lit(True) == Lit(1.0)`` under dataclass equality, while
+# their keys rightly differ).
+_NAMES = st.sampled_from(["a", "b", "ab", "a1", "1", "1:a", "a|b", ":"])
+_NAME_TUPLES = st.lists(_NAMES, max_size=3).map(tuple)
+_LEAVES = st.one_of(
+    _NAMES.map(Var),
+    st.one_of(st.integers(-2, 2), st.sampled_from(["", "a", "1"]),
+              st.none()).map(Lit))
+
+
+def _extend(kids):
+    pairs = st.lists(st.tuples(_NAMES, kids), max_size=2).map(tuple)
+    clause = st.builds(LinkClause, kids, _NAME_TUPLES, _NAME_TUPLES)
+    return st.one_of(
+        st.builds(Lambda, _NAME_TUPLES, kids),
+        st.builds(App, kids, st.lists(kids, max_size=3).map(tuple)),
+        st.builds(If, kids, kids, kids),
+        st.builds(Let, pairs, kids),
+        st.builds(Letrec, pairs, kids),
+        st.builds(SetBang, _NAMES, kids),
+        st.builds(Seq, st.lists(kids, min_size=1, max_size=3).map(tuple)),
+        st.builds(UnitExpr, _NAME_TUPLES, _NAME_TUPLES, pairs, kids),
+        st.builds(CompoundExpr, _NAME_TUPLES, _NAME_TUPLES, clause, clause),
+        st.builds(InvokeExpr, kids, pairs),
+    )
+
+
+TERMS = st.recursive(_LEAVES, _extend, max_leaves=8)
+
+
+class TestAssignedNames:
+    def test_collects_set_targets_in_unit_bodies(self):
+        expr = parse_program(
+            "(let ((a 1)) (begin (set! a 2)"
+            " (unit (import b) (export) (set! b 3))))")
+        assert assigned_names(expr) == {"a", "b"}
+
+    def test_memoized_only_when_caching(self):
+        expr = parse_program("(lambda (x) (set! x 1))")
+        with terms.caching(False):
+            assert assigned_names(expr) == {"x"}
+            assert "_an" not in expr.__dict__
+        assert assigned_names(expr) == {"x"}
+        assert expr.__dict__["_an"] == {"x"}
 
 
 class TestIntern:
