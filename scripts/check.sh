@@ -27,8 +27,11 @@
 # cleanly on SIGTERM, if `metrics report` rejects a live-server
 # metrics envelope, if the multi-process smoke (a 2-process daemon,
 # mixed healthy/poison batch, one worker SIGKILLed mid-run) loses a
-# request, fails to respawn the killed worker, or fails to drain, or
-# if the chaos sweep's differential assertions fail (docs/SERVING.md).
+# request, fails to respawn the killed worker, loses or double-counts
+# a worker's metrics fragment (the merged `serve.request` histogram
+# count must equal the responses not failed with WorkerCrashed: a
+# killed worker's partial request sends no fragment, its requeue sends
+# exactly one), or fails to drain, or if the chaos sweep's differential assertions fail (docs/SERVING.md).
 # The serve end-to-end (lifecycle) tests also run five times in a row,
 # so an intermittent start/drain/stop race fails the gate.
 set -eu
@@ -388,6 +391,10 @@ assert after["respawns"] >= 1, after
 assert pids[0] not in after["pids"], after
 assert len(after["pids"]) == 2, after
 assert envelope["metrics"]["dropped"] == 0
+# Fragments are neither lost nor double-counted: every request that
+# ran to a response on some worker shipped exactly one fragment.
+served = envelope["metrics"]["histograms"]["serve.request"]["count"]
+assert served == len(responses) - len(crashed), (served, responses)
 print(f"process pool ok: {len(ok)} healthy + 1 poison"
       f"{' + %d requeue-failed' % len(crashed) if crashed else ''}, "
       f"worker {pids[0]} killed -> {after['respawns']} respawn(s), "

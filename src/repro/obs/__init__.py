@@ -64,8 +64,8 @@ from repro.obs.metrics import (
     SNAPSHOT_SCHEMA,
     Gauge,
     Histogram,
+    MetricSet,
     MetricsRegistry,
-    PeriodicSnapshots,
     load_snapshot,
     merge_snapshot_files,
     render_metrics_diff,
@@ -105,8 +105,8 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "Histogram",
     "Gauge",
+    "MetricSet",
     "MetricsRegistry",
-    "PeriodicSnapshots",
     "load_snapshot",
     "merge_snapshot_files",
     "render_percentiles",

@@ -45,6 +45,11 @@ exit event carries ``dur`` (cumulative wall seconds) and ``self``
 while a span is open are stamped with the enclosing ``span`` id.  The
 kind *counter* is bumped once per span (on enter), so counter
 semantics match the pre-span flat events exactly.
+
+A collector *is* a :class:`~repro.obs.metrics.MetricSet` plus the
+event list, span stack and clock: a span exit writes its ``timers``
+and ``histograms`` in place, and :meth:`Collector.adopt` folds a
+child's numbers with the same ``merge`` a registry uses.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from contextvars import ContextVar
 from typing import Iterator
 
 from repro.obs.events import TraceEvent, family_of
-from repro.obs.metrics import Gauge, Histogram, _snapshot_dict
+from repro.obs.metrics import Histogram, MetricSet
 
 _ACTIVE: ContextVar["Collector | None"] = ContextVar(
     "repro_obs_collector", default=None)
@@ -226,8 +231,8 @@ class Span:
         return None
 
 
-class Collector:
-    """Accumulates trace events, monotonic counters, and timers.
+class Collector(MetricSet):
+    """Accumulates trace events on top of a :class:`MetricSet`.
 
     One collector represents one observation session (a CLI run, a
     benchmark, a test).  It is not thread-safe by design — scoping via
@@ -248,17 +253,11 @@ class Collector:
 
     def __init__(self, max_events: int = 1_000_000, *,
                  record_events: bool = True):
+        super().__init__()
         self.t0 = time.perf_counter()
         self.events: list[TraceEvent] = []
-        self.counters: dict[str, int] = {}
-        self.timers: dict[str, float] = {}
-        self.timer_calls: dict[str, int] = {}
-        self.histograms: dict[str, Histogram] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.max_events = max_events
         self.record_events = record_events
-        self.dropped = 0
-        self.dropped_kinds: dict[str, int] = {}
         self._seq = 0
         self._spans: list[Span] = []
         self._next_span = 0
@@ -281,15 +280,17 @@ class Collector:
         if not self.record_events:
             return None
         if len(self.events) >= self.max_events:
-            self.dropped += 1
-            self.counters["trace.dropped"] = \
-                self.counters.get("trace.dropped", 0) + 1
-            self.dropped_kinds[kind] = self.dropped_kinds.get(kind, 0) + 1
+            self._drop(kind)
             return None
         event = TraceEvent(kind, seq, time.perf_counter() - self.t0,
                            fields)
         self.events.append(event)
         return event
+
+    def _drop(self, kind: str) -> None:
+        self.dropped += 1
+        self.count("trace.dropped")
+        self.dropped_kinds[kind] = self.dropped_kinds.get(kind, 0) + 1
 
     def emit(self, kind: str, fields: dict[str, object] | None = None
              ) -> TraceEvent | None:
@@ -313,29 +314,6 @@ class Collector:
         """
         return Span(self, kind, fields)
 
-    def count(self, name: str, delta: int = 1) -> None:
-        """Bump a named monotonic counter."""
-        self.counters[name] = self.counters.get(name, 0) + delta
-
-    def observe(self, name: str, seconds: float) -> None:
-        """Record one latency sample into the histogram for ``name``.
-
-        Span exits do this automatically (keyed by span kind); call it
-        directly for durations that are not spans, like cache service
-        times.
-        """
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        hist.record(seconds)
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the level of the gauge ``name`` (last value wins)."""
-        g = self.gauges.get(name)
-        if g is None:
-            g = self.gauges[name] = Gauge()
-        g.set(value)
-
     def adopt(self, child: "Collector") -> None:
         """Fold a finished child collector into this one.
 
@@ -343,9 +321,8 @@ class Collector:
         past this collector's id watermark and their timestamps
         rebased onto this collector's clock, so the merged trace is
         still a well-formed forest: the child's span trees arrive
-        intact and *disjoint* from every other adoptee's.  All numeric
-        state (counters, timers, histograms, gauges, drop tallies)
-        merges too.
+        intact and *disjoint* from every other adoptee's.  The numeric
+        state merges with :meth:`MetricSet.merge`.
 
         The child must be finished (no open spans) and must not be
         recording concurrently; :class:`repro.obs.metrics.MetricsRegistry`
@@ -357,11 +334,7 @@ class Collector:
         if self.record_events:
             for event in child.events:
                 if len(self.events) >= self.max_events:
-                    self.dropped += 1
-                    self.counters["trace.dropped"] = \
-                        self.counters.get("trace.dropped", 0) + 1
-                    self.dropped_kinds[event.kind] = \
-                        self.dropped_kinds.get(event.kind, 0) + 1
+                    self._drop(event.kind)
                     continue
                 fields = dict(event.fields)
                 if "span" in fields:
@@ -372,27 +345,7 @@ class Collector:
                     TraceEvent(event.kind, self._seq, event.t + shift,
                                fields))
                 self._seq += 1
-        for name, value in child.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, seconds in child.timers.items():
-            self.timers[name] = self.timers.get(name, 0.0) + seconds
-        for name, calls in child.timer_calls.items():
-            self.timer_calls[name] = self.timer_calls.get(name, 0) + calls
-        for name, hist in child.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = hist.copy()
-            else:
-                mine.merge(hist)
-        for name, g in child.gauges.items():
-            mine_g = self.gauges.get(name)
-            if mine_g is None:
-                self.gauges[name] = g.copy()
-            else:
-                mine_g.merge(g)
-        self.dropped += child.dropped
-        for kind, n in child.dropped_kinds.items():
-            self.dropped_kinds[kind] = self.dropped_kinds.get(kind, 0) + n
+        self.merge(child)
 
     @contextmanager
     def timed(self, name: str) -> Iterator[None]:
@@ -429,12 +382,8 @@ class Collector:
     def metrics(self) -> dict[str, object]:
         """A JSON-ready ``metrics1`` snapshot of everything but the
         event bodies (see ``docs/METRICS.md`` for the schema)."""
-        return _snapshot_dict(
-            counters=self.counters, timers=self.timers,
-            timer_calls=self.timer_calls, histograms=self.histograms,
-            gauges=self.gauges, events=len(self.events),
-            spans=self._next_span, dropped=self.dropped,
-            dropped_kinds=self.dropped_kinds)
+        return self.to_json(events=len(self.events),
+                            spans=self._next_span)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The collector layer (:mod:`repro.obs.collector`) is deliberately
 single-threaded: one :class:`~repro.obs.collector.Collector` per
 execution context, no locks on the hot emit path.  This module is the
 *aggregation* side — the pieces that make N concurrent traced
-invocations (threads, asyncio tasks, batch items, future ``repro
-serve`` requests) produce **one coherent snapshot**:
+invocations (threads, asyncio tasks, batch items, ``repro serve``
+requests in worker threads or worker processes) produce **one
+coherent snapshot**:
 
 * :class:`Histogram` — a fixed log-bucketed latency distribution with
   exact ``count``/``sum``/``min``/``max`` and estimated percentiles
@@ -21,16 +22,19 @@ serve`` requests) produce **one coherent snapshot**:
   (``budget.headroom.*``).  Gauge name families are registered in
   :data:`repro.obs.events.GAUGES` (linted by
   ``tests/test_obs_registry.py``).
-* :class:`MetricsRegistry` — the lock-protected aggregation point.
-  Child collector scopes (one per request/thread/task/batch item,
-  opened with :meth:`MetricsRegistry.scope`) flush their counters,
-  timers, histograms, and gauges into the registry on exit; when the
-  registry has a *parent* collector, the child's events are adopted
-  into it with span ids remapped into a fresh range, so the merged
-  trace holds N disjoint, well-formed span trees with zero
-  cross-contamination.
-* :class:`PeriodicSnapshots` — a background thread writing versioned
-  ``metrics1`` snapshots at an interval, for long-running processes.
+* :class:`MetricSet` — the numeric state a collector and a registry
+  are both built on, with the one :meth:`~MetricSet.merge` every fold
+  goes through and the only ``metrics1`` writer and (validating)
+  reader, :meth:`~MetricSet.to_json`/:meth:`~MetricSet.from_json`.
+* :class:`MetricsRegistry` — a ``MetricSet`` behind a lock: the
+  aggregation point.  Child collector scopes (one per
+  request/thread/task/batch item, opened with
+  :meth:`MetricsRegistry.scope`) merge into the registry on exit;
+  when the registry has a *parent* collector, the child's events are
+  adopted into it with span ids remapped into a fresh range, so the
+  merged trace holds N disjoint, well-formed span trees with zero
+  cross-contamination.  Serve workers ship per-request fragments with
+  :meth:`~MetricsRegistry.drain`/:meth:`~MetricsRegistry.merge_snapshot`.
 * The ``metrics1`` snapshot format (:data:`SNAPSHOT_SCHEMA`), its
   reader/merger (:func:`load_snapshot`, :func:`merge_snapshot_files`),
   a Prometheus-style text exposition writer
@@ -44,11 +48,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 #: Version tag of the metrics snapshot format.  Readers reject other
 #: schemas instead of misinterpreting them.
@@ -71,6 +74,10 @@ MAX_BUCKET = 260
 
 #: The percentiles every summary reports, in order.
 PERCENTILES = (0.5, 0.9, 0.99)
+
+#: What reading a wrong-shaped JSON value raises; :meth:`MetricSet
+#: .from_json` turns these into one :class:`ValueError`.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
 
 def bucket_index(value: float) -> int:
@@ -274,10 +281,12 @@ class Gauge:
         return out
 
     def to_json(self) -> dict[str, object]:
+        # Exact, like Histogram's moments: a worker's gauge must read
+        # back bit-for-bit in the parent.
         return {
-            "last": round(self.last, 9),
-            "min": round(self.min, 9) if self.updates else 0.0,
-            "max": round(self.max, 9) if self.updates else 0.0,
+            "last": self.last,
+            "min": self.min if self.updates else 0.0,
+            "max": self.max if self.updates else 0.0,
             "updates": self.updates,
         }
 
@@ -293,17 +302,155 @@ class Gauge:
         return out
 
 
-class MetricsRegistry:
+class MetricSet:
+    """The numeric state of telemetry, and its one merge.
+
+    ``counters``, span ``timers`` (self seconds) with ``timer_calls``,
+    ``histograms``, ``gauges``, and the event-drop tallies
+    ``dropped``/``dropped_kinds``.  A
+    :class:`~repro.obs.collector.Collector` and a
+    :class:`MetricsRegistry` are each a ``MetricSet`` plus their own
+    bookkeeping, so adopting a child, absorbing a scope and folding in
+    a worker's fragment are all :meth:`merge`.
+    """
+
+    def __init__(self) -> None:
+        self.counters: dict[str, int] = {}
+        self.timers: dict[str, float] = {}
+        self.timer_calls: dict[str, int] = {}
+        self.histograms: dict[str, Histogram] = {}
+        self.gauges: dict[str, Gauge] = {}
+        self.dropped = 0
+        self.dropped_kinds: dict[str, int] = {}
+
+    # -- recording ------------------------------------------------------
+
+    def count(self, name: str, delta: int = 1) -> None:
+        """Bump a named monotonic counter."""
+        self.counters[name] = self.counters.get(name, 0) + delta
+
+    def observe(self, name: str, seconds: float) -> None:
+        """Record one latency sample into the histogram for ``name``.
+
+        Span exits do this automatically (keyed by span kind); call it
+        directly for durations that are not spans, like cache service
+        times.
+        """
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram()
+        hist.record(seconds)
+
+    def gauge(self, name: str, value: float) -> None:
+        """Set the level of the gauge ``name`` (last value wins)."""
+        g = self.gauges.get(name)
+        if g is None:
+            g = self.gauges[name] = Gauge()
+        g.set(value)
+
+    def merge(self, other: "MetricSet") -> "MetricSet":
+        """Fold ``other`` in; ``other`` is unchanged and never aliased.
+
+        Associative, and order-independent up to each gauge's ``last``
+        (property-tested in ``tests/test_serve_envelope_properties.py``).
+        """
+        _add(self.counters, other.counters)
+        _add(self.timers, other.timers)
+        _add(self.timer_calls, other.timer_calls)
+        _fold(self.histograms, other.histograms)
+        _fold(self.gauges, other.gauges)
+        self.dropped += other.dropped
+        _add(self.dropped_kinds, other.dropped_kinds)
+        return self
+
+    # -- wire form ------------------------------------------------------
+
+    def to_json(self, *, events: int, spans: int,
+                flushes: int | None = None) -> dict[str, object]:
+        """The ``metrics1`` snapshot, with stable key order; the owner
+        supplies its bookkeeping (``events``, ``spans``, ``flushes``)."""
+        out: dict[str, object] = {
+            "schema": SNAPSHOT_SCHEMA,
+            "events": events,
+            "spans": spans,
+            "dropped": self.dropped,
+            "dropped_by_kind": dict(sorted(self.dropped_kinds.items())),
+            "counters": dict(sorted(self.counters.items())),
+            "gauges": {name: self.gauges[name].to_json()
+                       for name in sorted(self.gauges)},
+            "histograms": {name: self.histograms[name].to_json()
+                           for name in sorted(self.histograms)},
+            "timers": {name: {"seconds": self.timers[name],
+                              "calls": self.timer_calls.get(name, 0)}
+                       for name in sorted(self.timers)},
+        }
+        if flushes is not None:
+            out["flushes"] = flushes
+        return out
+
+    @classmethod
+    def from_json(cls, payload: dict[str, object]) -> "MetricSet":
+        """Inverse of :meth:`to_json`, and the one validating reader:
+        a malformed section (the bookkeeping fields included) raises
+        :class:`ValueError` naming it.  Absent sections are empty."""
+        out = cls()
+        try:
+            for section in ("events", "spans", "flushes"):
+                int(payload.get(section, 0))  # type: ignore[arg-type]
+            section = "dropped"
+            out.dropped = int(payload.get("dropped", 0))  # type: ignore[arg-type]
+            section = "dropped_by_kind"
+            for kind, n in _items(payload, section):
+                out.dropped_kinds[kind] = int(n)
+            section = "counters"
+            for name, value in _items(payload, section):
+                out.counters[name] = int(value)
+            section = "timers"
+            for name, t in _items(payload, section):
+                out.timers[name] = float(t["seconds"])
+                out.timer_calls[name] = int(t.get("calls", 0))
+            section = "histograms"
+            for name, h in _items(payload, section):
+                out.histograms[name] = Histogram.from_json(h)
+            section = "gauges"
+            for name, g in _items(payload, section):
+                out.gauges[name] = Gauge.from_json(g)
+        except _MALFORMED as err:
+            raise ValueError(
+                f"malformed metrics section {section!r}: {err!r}") from err
+        return out
+
+
+def _items(payload: dict[str, object], section: str):
+    """The entries of one name-keyed ``metrics1`` section."""
+    return (payload.get(section) or {}).items()  # type: ignore[union-attr]
+
+
+def _add(into: dict, other: dict) -> None:
+    for name, value in other.items():
+        into[name] = into.get(name, 0) + value
+
+
+def _fold(into: dict, other: dict) -> None:
+    for name, instrument in other.items():
+        mine = into.get(name)
+        if mine is None:
+            into[name] = instrument.copy()
+        else:
+            mine.merge(instrument)
+
+
+class MetricsRegistry(MetricSet):
     """Lock-protected, process-lifetime metric aggregation.
 
     One registry outlives many collector scopes: each request, thread,
     task, or batch item runs under its own child
     :class:`~repro.obs.collector.Collector` (opened with
     :meth:`scope`), and the child's numbers are folded in atomically
-    when the scope exits.  All mutation happens under one
-    :class:`threading.Lock`, so concurrent scope exits, direct
-    :meth:`observe`/:meth:`count`/:meth:`gauge` calls, and snapshot
-    reads interleave safely.
+    when the scope exits.  Every mutator — the inherited
+    :meth:`count`/:meth:`observe`/:meth:`gauge`/:meth:`merge` included
+    — takes one :class:`threading.Lock`, so concurrent scope exits,
+    direct recording, and snapshot reads interleave safely.
 
     When constructed with a ``parent`` collector, each flushed child's
     *events* are also adopted into the parent — span ids remapped into
@@ -316,39 +463,31 @@ class MetricsRegistry:
     """
 
     def __init__(self, parent=None) -> None:
+        super().__init__()
         self._lock = threading.Lock()
         self._parent = parent
-        self.counters: dict[str, int] = {}
-        self.timers: dict[str, float] = {}
-        self.timer_calls: dict[str, int] = {}
-        self.histograms: dict[str, Histogram] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.events = 0
         self.spans = 0
-        self.dropped = 0
-        self.dropped_kinds: dict[str, int] = {}
         self.flushes = 0
-        self.snapshots_written = 0
 
-    # -- direct recording (thread-safe) ---------------------------------
+    # -- recording (thread-safe) ----------------------------------------
 
     def count(self, name: str, delta: int = 1) -> None:
         with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + delta
+            MetricSet.count(self, name, delta)
 
     def observe(self, name: str, seconds: float) -> None:
         with self._lock:
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = Histogram()
-            hist.record(seconds)
+            MetricSet.observe(self, name, seconds)
 
     def gauge(self, name: str, value: float) -> None:
         with self._lock:
-            g = self.gauges.get(name)
-            if g is None:
-                g = self.gauges[name] = Gauge()
-            g.set(value)
+            MetricSet.gauge(self, name, value)
+
+    def merge(self, other: MetricSet) -> "MetricsRegistry":
+        with self._lock:
+            MetricSet.merge(self, other)
+        return self
 
     # -- absorbing collectors and snapshots -----------------------------
 
@@ -356,68 +495,24 @@ class MetricsRegistry:
         """Fold one collector's metrics in (events are not kept here;
         give the registry a parent collector to aggregate those)."""
         with self._lock:
-            self._absorb_locked(collector)
+            MetricSet.merge(self, collector)
+            self.events += len(collector.events)
+            self.spans += collector._next_span
+            self.flushes += 1
             if self._parent is not None and self._parent is not collector:
                 self._parent.adopt(collector)
 
-    def _absorb_locked(self, col) -> None:
-        for name, value in col.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, seconds in col.timers.items():
-            self.timers[name] = self.timers.get(name, 0.0) + seconds
-        for name, calls in col.timer_calls.items():
-            self.timer_calls[name] = self.timer_calls.get(name, 0) + calls
-        for name, hist in col.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = hist.copy()
-            else:
-                mine.merge(hist)
-        for name, g in col.gauges.items():
-            mine = self.gauges.get(name)
-            if mine is None:
-                self.gauges[name] = g.copy()
-            else:
-                mine.merge(g)
-        self.events += len(col.events)
-        self.spans += col._next_span
-        self.dropped += col.dropped
-        for kind, n in col.dropped_kinds.items():
-            self.dropped_kinds[kind] = self.dropped_kinds.get(kind, 0) + n
-        self.flushes += 1
-
     def merge_snapshot(self, payload: dict[str, object]) -> "MetricsRegistry":
         """Fold a ``metrics1`` snapshot (or a bare collector metrics
-        dict) into the registry; used by ``repro metrics report`` to
-        combine shards."""
+        dict) into the registry: how worker fragments reach the
+        parent, and how ``repro metrics report`` combines shards.  A
+        malformed payload raises :class:`ValueError` and changes
+        nothing."""
+        other = MetricSet.from_json(payload)
         with self._lock:
-            for name, value in (payload.get("counters") or {}).items():  # type: ignore[union-attr]
-                self.counters[name] = self.counters.get(name, 0) + int(value)
-            for name, t in (payload.get("timers") or {}).items():  # type: ignore[union-attr]
-                self.timers[name] = (self.timers.get(name, 0.0)
-                                     + float(t["seconds"]))
-                self.timer_calls[name] = (self.timer_calls.get(name, 0)
-                                          + int(t.get("calls", 0)))
-            for name, h in (payload.get("histograms") or {}).items():  # type: ignore[union-attr]
-                loaded = Histogram.from_json(h)
-                mine = self.histograms.get(name)
-                if mine is None:
-                    self.histograms[name] = loaded
-                else:
-                    mine.merge(loaded)
-            for name, g in (payload.get("gauges") or {}).items():  # type: ignore[union-attr]
-                loaded_g = Gauge.from_json(g)
-                mine_g = self.gauges.get(name)
-                if mine_g is None:
-                    self.gauges[name] = loaded_g
-                else:
-                    mine_g.merge(loaded_g)
+            MetricSet.merge(self, other)
             self.events += int(payload.get("events", 0))  # type: ignore[arg-type]
             self.spans += int(payload.get("spans", 0))  # type: ignore[arg-type]
-            self.dropped += int(payload.get("dropped", 0))  # type: ignore[arg-type]
-            for kind, n in (payload.get("dropped_by_kind") or {}).items():  # type: ignore[union-attr]
-                self.dropped_kinds[kind] = \
-                    self.dropped_kinds.get(kind, 0) + int(n)
             self.flushes += int(payload.get("flushes", 1))  # type: ignore[arg-type]
         return self
 
@@ -455,12 +550,8 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, object]:
         """A JSON-ready ``metrics1`` snapshot with stable key order."""
         with self._lock:
-            return _snapshot_dict(
-                counters=self.counters, timers=self.timers,
-                timer_calls=self.timer_calls, histograms=self.histograms,
-                gauges=self.gauges, events=self.events, spans=self.spans,
-                dropped=self.dropped, dropped_kinds=self.dropped_kinds,
-                flushes=self.flushes)
+            return self.to_json(events=self.events, spans=self.spans,
+                                flushes=self.flushes)
 
     def drain(self) -> dict[str, object]:
         """Snapshot *and reset*, atomically: the cross-process
@@ -477,110 +568,11 @@ class MetricsRegistry:
         order, and nothing is ever counted twice.
         """
         with self._lock:
-            snap = _snapshot_dict(
-                counters=self.counters, timers=self.timers,
-                timer_calls=self.timer_calls, histograms=self.histograms,
-                gauges=self.gauges, events=self.events, spans=self.spans,
-                dropped=self.dropped, dropped_kinds=self.dropped_kinds,
-                flushes=self.flushes)
-            self.counters = {}
-            self.timers = {}
-            self.timer_calls = {}
-            self.histograms = {}
-            self.gauges = {}
-            self.events = 0
-            self.spans = 0
-            self.dropped = 0
-            self.dropped_kinds = {}
-            self.flushes = 0
+            snap = self.to_json(events=self.events, spans=self.spans,
+                                flushes=self.flushes)
+            MetricSet.__init__(self)
+            self.events = self.spans = self.flushes = 0
         return snap
-
-
-def _snapshot_dict(*, counters: dict[str, int], timers: dict[str, float],
-                   timer_calls: dict[str, int],
-                   histograms: dict[str, Histogram],
-                   gauges: dict[str, Gauge], events: int, spans: int,
-                   dropped: int, dropped_kinds: dict[str, int],
-                   flushes: int | None = None) -> dict[str, object]:
-    """The shared ``metrics1`` shape (collectors and registries agree)."""
-    out: dict[str, object] = {
-        "schema": SNAPSHOT_SCHEMA,
-        "events": events,
-        "spans": spans,
-        "dropped": dropped,
-        "dropped_by_kind": dict(sorted(dropped_kinds.items())),
-        "counters": dict(sorted(counters.items())),
-        "gauges": {name: gauges[name].to_json()
-                   for name in sorted(gauges)},
-        "histograms": {name: histograms[name].to_json()
-                       for name in sorted(histograms)},
-        "timers": {name: {"seconds": timers[name],
-                          "calls": timer_calls.get(name, 0)}
-                   for name in sorted(timers)},
-    }
-    if flushes is not None:
-        out["flushes"] = flushes
-    return out
-
-
-class PeriodicSnapshots:
-    """Write ``metrics1`` snapshots of a registry on an interval.
-
-    For long-running processes (the coming ``repro serve``): a daemon
-    thread writes the snapshot atomically (temp file + rename) every
-    ``interval_s`` seconds, and once more on :meth:`stop`.  Use as a
-    context manager or call :meth:`start`/:meth:`stop` directly.
-    """
-
-    def __init__(self, registry: MetricsRegistry, path: str | Path,
-                 interval_s: float = 10.0):
-        self.registry = registry
-        self.path = Path(path)
-        self.interval_s = interval_s
-        self._halt = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def write_now(self) -> None:
-        """Write one snapshot synchronously (atomic replace)."""
-        payload = self.registry.snapshot()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, self.path)
-        self.registry.snapshots_written += 1
-        from repro.obs.collector import current as _current
-
-        col = _current()
-        if col is not None:
-            col.emit("metric.snapshot", {"path": str(self.path),
-                                         "events": payload["events"]})
-
-    def _loop(self) -> None:
-        while not self._halt.wait(self.interval_s):
-            self.write_now()
-
-    def start(self) -> "PeriodicSnapshots":
-        if self._thread is None:
-            self._halt.clear()
-            self._thread = threading.Thread(
-                target=self._loop, name="repro-metrics-snapshots",
-                daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Halt the thread and write a final snapshot."""
-        self._halt.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.write_now()
-
-    def __enter__(self) -> "PeriodicSnapshots":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +588,9 @@ def load_snapshot(path: str | Path) -> dict[str, object]:
     a ``counters`` key), and the link server's response envelope — a
     ``repro client metrics`` capture, whose snapshot rides under a
     ``"metrics"`` key — so serve-mode percentiles feed the same
-    ``report``/``diff`` gates as file snapshots.
+    ``report``/``diff`` gates as file snapshots.  Every section is
+    validated by :meth:`MetricSet.from_json`; a malformed one raises
+    :class:`ValueError`.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -611,6 +605,10 @@ def load_snapshot(path: str | Path) -> dict[str, object]:
     schema = payload.get("schema", SNAPSHOT_SCHEMA)
     if schema != SNAPSHOT_SCHEMA:
         raise ValueError(f"{path}: unsupported metrics schema {schema!r}")
+    try:
+        MetricSet.from_json(payload)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     return payload
 
 
@@ -652,33 +650,29 @@ def render_percentiles(histograms: dict[str, Histogram],
 
 def render_metrics_report(snapshot: dict[str, object]) -> str:
     """The ``repro metrics report`` text for one (merged) snapshot."""
-    histograms = {name: Histogram.from_json(payload)
-                  for name, payload
-                  in (snapshot.get("histograms") or {}).items()}  # type: ignore[union-attr]
+    metrics = MetricSet.from_json(snapshot)
     out: list[str] = []
     out.append(f"metrics report — {snapshot.get('events', 0)} events, "
                f"{snapshot.get('spans', 0)} spans, "
                f"{snapshot.get('dropped', 0)} dropped, "
                f"{snapshot.get('flushes', 1)} flush(es)")
-    dropped_by_kind = snapshot.get("dropped_by_kind") or {}
-    if dropped_by_kind:
+    if metrics.dropped_kinds:
         out.append("dropped by kind:")
-        for kind in sorted(dropped_by_kind):  # type: ignore[union-attr]
-            out.append(f"  {kind}  ×{dropped_by_kind[kind]}")  # type: ignore[index]
+        for kind in sorted(metrics.dropped_kinds):
+            out.append(f"  {kind}  ×{metrics.dropped_kinds[kind]}")
     out.append("")
-    table = render_percentiles(histograms)
+    table = render_percentiles(metrics.histograms)
     if table:
         out.extend(table)
     else:
         out.append("latency (ms):")
         out.append("  (no histograms recorded)")
-    gauges = snapshot.get("gauges") or {}
-    if gauges:
+    if metrics.gauges:
         out.append("")
         out.append("gauges:")
-        width = max(len(name) for name in gauges)  # type: ignore[arg-type]
-        for name in sorted(gauges):  # type: ignore[union-attr]
-            g = gauges[name]  # type: ignore[index]
+        width = max(len(name) for name in metrics.gauges)
+        for name in sorted(metrics.gauges):
+            g = metrics.gauges[name].to_json()
             out.append(f"  {name.ljust(width)}  last {g['last']:g}  "
                        f"min {g['min']:g}  max {g['max']:g}  "
                        f"({g['updates']} update(s))")
@@ -709,10 +703,8 @@ def render_metrics_diff(base: dict[str, object], cur: dict[str, object],
     """
     from repro.obs.analyze import diff_counts, regressions
 
-    base_h = {name: Histogram.from_json(payload) for name, payload
-              in (base.get("histograms") or {}).items()}  # type: ignore[union-attr]
-    cur_h = {name: Histogram.from_json(payload) for name, payload
-             in (cur.get("histograms") or {}).items()}  # type: ignore[union-attr]
+    base_h = MetricSet.from_json(base).histograms
+    cur_h = MetricSet.from_json(cur).histograms
     deltas = diff_counts({k: h.count for k, h in base_h.items()},
                          {k: h.count for k, h in cur_h.items()})
     failing = {d.kind for d in regressions(deltas, count_threshold, strict)}
@@ -784,31 +776,32 @@ def render_prometheus(snapshot: dict[str, object],
     endpoint; also useful offline via ``repro metrics report
     --prometheus``.
     """
+    metrics = MetricSet.from_json(snapshot)
     lines: list[str] = []
-    counters = snapshot.get("counters") or {}
+    counters = metrics.counters
     if counters:
         lines.append(f"# HELP {prefix}_events_total Trace events and "
                      f"bookkeeping counters.")
         lines.append(f"# TYPE {prefix}_events_total counter")
-        for name in sorted(counters):  # type: ignore[union-attr]
+        for name in sorted(counters):
             lines.append(f'{prefix}_events_total'
                          f'{{kind="{_prom_escape(name)}"}} '
-                         f'{counters[name]}')  # type: ignore[index]
-    gauges = snapshot.get("gauges") or {}
+                         f'{counters[name]}')
+    gauges = metrics.gauges
     if gauges:
         lines.append(f"# HELP {prefix}_gauge Last-value instruments "
                      f"(cache occupancy, budget headroom).")
         lines.append(f"# TYPE {prefix}_gauge gauge")
-        for name in sorted(gauges):  # type: ignore[union-attr]
+        for name in sorted(gauges):
             lines.append(f'{prefix}_gauge{{name="{_prom_escape(name)}"}} '
-                         f'{gauges[name]["last"]:g}')  # type: ignore[index]
-    histograms = snapshot.get("histograms") or {}
+                         f'{gauges[name].last:g}')
+    histograms = metrics.histograms
     if histograms:
         lines.append(f"# HELP {prefix}_latency_seconds Span latency "
                      f"distributions per kind.")
         lines.append(f"# TYPE {prefix}_latency_seconds histogram")
-        for name in sorted(histograms):  # type: ignore[union-attr]
-            h = Histogram.from_json(histograms[name])  # type: ignore[index]
+        for name in sorted(histograms):
+            h = histograms[name]
             label = _prom_escape(name)
             cumulative = 0
             for index in sorted(h.buckets):

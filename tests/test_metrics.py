@@ -34,7 +34,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    PeriodicSnapshots,
     bucket_bound,
     bucket_index,
 )
@@ -189,12 +188,15 @@ class TestGauge:
         assert (a.last, a.updates) == (4.0, 1)
 
     def test_json_roundtrip(self):
+        # Bit-exact through real JSON text: a worker's gauge must read
+        # back in the parent exactly as thread mode would have it.
         g = Gauge()
-        g.set(2.5)
-        g.set(0.5)
-        back = Gauge.from_json(g.to_json())
+        for v in (2.5, 0.5, 0.1 + 0.2, 10 / 3, 1 / 3):
+            g.set(v)
+        back = Gauge.from_json(json.loads(json.dumps(g.to_json())))
         assert (back.last, back.min, back.max, back.updates) \
-            == (g.last, g.min, g.max, g.updates)
+            == (g.last, g.min, g.max, g.updates) \
+            == (1 / 3, 0.1 + 0.2, 10 / 3, 5)
 
 
 def traced_work(n: int) -> None:
@@ -418,38 +420,6 @@ class TestAdoption:
         assert parent.histograms["lat"].count == 1
 
 
-class TestPeriodicSnapshots:
-    def test_write_now_and_stop_write_valid_snapshots(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.count("requests")
-        path = tmp_path / "m.json"
-        snaps = PeriodicSnapshots(reg, path, interval_s=3600.0)
-        snaps.write_now()
-        assert obs.load_snapshot(path)["counters"]["requests"] == 1
-        with snaps:
-            reg.count("requests")
-        assert obs.load_snapshot(path)["counters"]["requests"] == 2
-        assert reg.snapshots_written >= 2
-
-    def test_background_thread_writes(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.count("requests")
-        path = tmp_path / "m.json"
-        with PeriodicSnapshots(reg, path, interval_s=0.02):
-            deadline = threading.Event()
-            for _ in range(100):
-                if path.exists():
-                    break
-                deadline.wait(0.02)
-        assert obs.load_snapshot(path)["schema"] == "metrics1"
-
-    def test_snapshot_event_emitted_into_scope(self, tmp_path):
-        reg = MetricsRegistry()
-        with obs.collecting() as col:
-            PeriodicSnapshots(reg, tmp_path / "m.json").write_now()
-        assert col.counters.get("metric.snapshot") == 1
-
-
 class TestRenderers:
     def _snapshot(self) -> dict:
         reg = MetricsRegistry()
@@ -540,6 +510,27 @@ class TestMetricsCli:
         bad.write_text("{nope")
         assert main(["metrics", "report", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["report", "diff"])
+    @pytest.mark.parametrize("section, body", [
+        ("counters", {"counters": {"a": None}}),
+        ("timers", {"counters": {}, "timers": {"t": 5}}),
+        ("gauges", {"counters": {}, "gauges": {"g": [1]}}),
+        ("histograms", {"counters": {}, "histograms": {
+            "h": {"count": 1, "buckets": [[1]]}}}),
+    ])
+    def test_malformed_section_exits_2(self, tmp_path, capsys, command,
+                                       section, body):
+        # A corrupt snapshot is a usage error (exit 2), never a
+        # traceback — and for `diff`, never the regression exit 1.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        argv = ["metrics", command, str(bad)]
+        if command == "diff":
+            argv.append(str(self._write_snapshot(tmp_path)))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and repr(section) in err
 
     def test_diff_ok_and_regression_exit_codes(self, tmp_path, capsys):
         base = self._write_snapshot(tmp_path, "base.json", rounds=1)

@@ -30,9 +30,10 @@ import json
 import multiprocessing as mp
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.collector import Collector
+from repro.obs.metrics import MetricSet, MetricsRegistry
 from repro.serve import protocol
 from repro.serve.chaos import FAULTS
 
@@ -91,13 +92,18 @@ _ops = st.lists(
     max_size=25)
 
 
+def _record(target, ops):
+    """Apply generated ops to any ``MetricSet`` (collector, registry,
+    or bare set); returns the target."""
+    for method, name, value in ops:
+        getattr(target, method)(name, value)
+    return target
+
+
 def _fragment(ops) -> dict:
     """Apply generated ops to a fresh registry; drain the fragment —
     exactly what a worker process does per request."""
-    registry = MetricsRegistry()
-    for method, name, value in ops:
-        getattr(registry, method)(name, value)
-    return registry.drain()
+    return _record(MetricsRegistry(), ops).drain()
 
 
 _fragments = st.lists(_ops, min_size=2, max_size=4).map(
@@ -159,6 +165,22 @@ def _fold(fragments) -> dict:
     for fragment in fragments:
         registry.merge_snapshot(fragment)
     return registry.snapshot()
+
+
+def _numbers(snapshot: dict) -> dict:
+    """The metric state of a snapshot: every section a fold must
+    preserve, minus the owner's bookkeeping (events/spans/flushes) and
+    the ``metric.flush`` marker a registry scope adds on exit."""
+    out = {key: snapshot[key] for key in
+           ("dropped", "dropped_by_kind", "counters", "gauges",
+            "histograms", "timers")}
+    out["counters"] = {name: n for name, n in snapshot["counters"].items()
+                       if name != "metric.flush"}
+    return out
+
+
+def _gauge_lasts(snapshot: dict) -> dict:
+    return {name: g["last"] for name, g in snapshot["gauges"].items()}
 
 
 def _without_gauge_last(snapshot: dict) -> dict:
@@ -229,6 +251,64 @@ class TestFragmentMergeLaws:
         merged = _fold([fragment, empty])
         direct = _fold([fragment])
         assert _close(merged, direct), (merged, direct)
+
+
+class TestMetricSetLaws:
+    """The laws at the core: every fold above is ``MetricSet.merge``."""
+
+    @settings(**_SETTINGS)
+    @given(batches=st.lists(_ops, min_size=3, max_size=3))
+    def test_merge_is_associative(self, batches):
+        def sets():
+            return [_record(MetricSet(), ops) for ops in batches]
+
+        a, b, c = sets()
+        left = a.merge(b).merge(c).to_json(events=0, spans=0)
+        a, b, c = sets()
+        right = a.merge(b.merge(c)).to_json(events=0, spans=0)
+        assert _close(left, right), (left, right)
+        assert _gauge_lasts(left) == _gauge_lasts(right)
+
+    @settings(**_SETTINGS)
+    @given(ops=_ops)
+    def test_empty_set_is_identity(self, ops):
+        alone = _record(MetricSet(), ops).to_json(events=0, spans=0)
+        left = MetricSet().merge(_record(MetricSet(), ops))
+        right = _record(MetricSet(), ops).merge(MetricSet())
+        assert left.to_json(events=0, spans=0) == alone
+        assert right.to_json(events=0, spans=0) == alone
+
+
+class TestOneMergeLaw:
+    @settings(**_SETTINGS)
+    @given(ops=_ops)
+    @example(ops=[("gauge", "g", 1 / 3), ("gauge", "g", 0.1 + 0.2)])
+    def test_adopt_absorb_and_fragment_merge_agree(self, echo, ops):
+        """One op list, folded the three ways production folds it —
+        a collector adopting a child, a registry absorbing a scope,
+        and a worker's drained fragment crossing pickle+JSON into the
+        parent's ``merge_snapshot`` — yields the same numbers, with
+        every gauge's ``last`` bit-exact."""
+        adopted = Collector()
+        adopted.adopt(_record(Collector(), ops))
+
+        absorbed = MetricsRegistry()
+        with absorbed.scope() as col:
+            _record(col, ops)
+
+        worker = MetricsRegistry()
+        with worker.scope() as col:
+            _record(col, ops)
+        merged = MetricsRegistry().merge_snapshot(echo(worker.drain()))
+
+        expected = _numbers(adopted.metrics())
+        for other in (absorbed, merged):
+            assert _close(expected, _numbers(other.snapshot())), \
+                (expected, other.snapshot())
+            # In memory, not via to_json: the fragment must not have
+            # lost a bit on the wire.
+            assert {name: g.last for name, g in other.gauges.items()} \
+                == {name: g.last for name, g in adopted.gauges.items()}
 
 
 class TestDrainSemantics:
