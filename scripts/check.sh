@@ -17,7 +17,8 @@
 # smoke finds the caches inert, if a warm sharing-064 pass fails to
 # serve its whole flattened subtree from the flatten memo
 # (docs/PERFORMANCE.md, "Link caching"), if a second pycode demo run
-# against the same cache dir misses the codegen store, or if the
+# against the same cache dir misses the codegen store, if a following
+# `run --backend pycode` misses it or writes a new entry, or if the
 # batch-isolation smoke (one good, one looping, one ill-typed
 # program) does not yield exactly the expected records and
 # limit.exceeded trace event (docs/ROBUSTNESS.md), if the link-server
@@ -200,6 +201,31 @@ stray = [p for p in entries if p.parent != layout]
 assert not stray, f"pycode entries outside {DISK_LAYOUT}/: {stray}"
 print(f"pycode cache ok: {len(hits)} hit(s), 0 misses, "
       f"{len(entries)} disk entr{'y' if len(entries) == 1 else 'ies'}")
+EOF
+
+# `repro run --backend pycode` compiles the same checked program the
+# demo did, so it must hit the demo's entry and write no second one.
+pycode_before="$(find "$pycode_cache_dir" -name '*.py' | sort)"
+python -m repro --cache-dir "$pycode_cache_dir" --trace "$pycode_trace" \
+    run --backend pycode examples/phonebook.scm
+pycode_after="$(find "$pycode_cache_dir" -name '*.py' | sort)"
+[ "$pycode_before" = "$pycode_after" ] || {
+    echo "run --backend pycode wrote a new codegen entry:"
+    echo "$pycode_after"
+    exit 1
+}
+
+python - "$pycode_trace" <<'EOF'
+import sys
+from repro.obs import read_jsonl
+
+lookups = [e.kind for e in read_jsonl(sys.argv[1])
+           if e.kind in ("cache.hit", "cache.miss")
+           and e.fields.get("cache") == "pycode"]
+assert lookups == ["cache.hit"], \
+    f"run --backend pycode after demo: pycode lookups {lookups}"
+print("pycode key shared: run hit the demo's codegen entry, "
+      "no new disk entry")
 EOF
 
 echo "==> smoke: batch isolation (good + looping + ill-typed)"

@@ -9,7 +9,7 @@ spans, and the interpreter's error messages are preserved — the
 backend is observationally equivalent and only faster.
 
     from repro import backend
-    program = backend.compile_program(linked_expr)
+    program = backend.compile_program(checked_expr)
     value, output = program.run()
 
 Generated source and code objects are cached content-addressed on the
@@ -54,7 +54,11 @@ class PyProgram:
 
 
 def compile_program(expr: Expr) -> PyProgram:
-    """Lower a checked (and preferably linked) program to Python.
+    """Lower a checked program to Python.
+
+    Static linking first is optional (it folds known compounds, at a
+    link cost); :func:`repro.pipeline.evaluate` compiles the checked
+    program as given, so every command shares one codegen cache key.
 
     The ``pycode.codegen`` span fires whether or not the codegen cache
     supplied the code object, keeping event counts cache-invariant

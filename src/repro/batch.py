@@ -29,8 +29,10 @@ stage it *did* finish took.  Budget exhaustion additionally emits a
 ``limit.exceeded`` trace event through the observability layer, so a
 ``--trace`` of a batch shows exactly where each item died.
 
-Each stage also runs under a ``stage.*`` span, so when a collector is
-in scope the item contributes per-stage latency *distributions* —
+Each stage runs through :func:`repro.pipeline.stage`, the runner the
+link server shares: it polls the item's deadline at the stage boundary
+and opens a ``stage.*`` span, so when a collector is in scope the item
+contributes per-stage latency *distributions* —
 :func:`run_batch` takes a :class:`repro.obs.metrics.MetricsRegistry`
 and wraps every item in its own collector scope, which is how ``repro
 batch`` prints its end-of-run p50/p99 stage table and stays coherent
@@ -55,38 +57,14 @@ from typing import Callable, Iterable
 
 from repro import limits as _limits
 from repro import obs
-from repro.dynlink.loader import load_with_retry
-from repro.lang.errors import LangError
-from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_script
 from repro.lang.values import to_write_string
+from repro.pipeline import (RECORDED_ERRORS, archive_roundtrip,
+                            error_payload, evaluate, stage)
 from repro.units.check import check_program
 
 #: Version tag carried by every batch record.
 RECORD_SCHEMA = "batch1"
-
-#: Exceptions a batch item may fail with and still be *recorded* rather
-#: than aborting the batch.  ``LangError`` covers the repo's whole
-#: taxonomy (parse, check, type, link, run-time, archive, and budget
-#: errors); ``RecursionError`` is the raw Python failure an ungoverned
-#: deep program can still hit; ``OSError`` covers unreadable files.
-RECORDED_ERRORS = (LangError, RecursionError, OSError)
-
-
-def error_payload(err: BaseException) -> dict[str, object]:
-    """The ``error`` object of a failure record."""
-    payload: dict[str, object] = {
-        "type": type(err).__name__,
-        "message": str(err),
-    }
-    if isinstance(err, _limits.BudgetExceeded):
-        payload["resource"] = err.resource
-        payload["limit"] = err.limit
-        payload["used"] = err.used
-    loc = getattr(err, "loc", None)
-    if loc is not None:
-        payload["loc"] = str(loc)
-    return payload
 
 
 def run_item(path: str | Path, budget: _limits.Budget | None, *,
@@ -98,13 +76,12 @@ def run_item(path: str | Path, budget: _limits.Budget | None, *,
     """Run one program under its own budget; return its record.
 
     The full pipeline runs inside the budget's scope — read, parse,
-    check, optional archive round-trip, evaluate — so every governed
-    subsystem charges this item's allowance and nothing leaks to the
-    next item.
+    check, archive round-trip, evaluate, each a
+    :func:`repro.pipeline.stage` — so every governed subsystem charges
+    this item's allowance and nothing leaks to the next item.
 
-    ``backend`` selects the evaluator for the eval stage: the
-    environment interpreter (default), the small-step ``machine``, or
-    the ``pycode`` Python-closure backend.  All three produce the same
+    ``backend`` selects the evaluator for the eval stage
+    (:func:`repro.pipeline.evaluate`).  All three produce the same
     record fields; budget exhaustion charges the backend's own step
     resource.
     """
@@ -112,33 +89,22 @@ def run_item(path: str | Path, budget: _limits.Budget | None, *,
         "schema": RECORD_SCHEMA,
         "file": str(path),
     }
-    kwargs: dict[str, object] = {}
-    if sleep is not None:
-        kwargs["sleep"] = sleep
-    if rng is not None:
-        kwargs["rng"] = rng
+    kwargs = {key: fn for key, fn in (("sleep", sleep), ("rng", rng))
+              if fn is not None}
     timings: dict[str, float] = {}
     t_item = time.perf_counter()
     try:
         with _limits.budget_scope(budget):
             with obs.span("stage.item", {"file": str(path)}):
-                t = time.perf_counter()
-                with obs.span("stage.parse"):
+                with stage("parse", timings):
                     text = Path(path).read_text()
                     expr = parse_script(text, origin=str(path))
-                timings["parse"] = time.perf_counter() - t
-                t = time.perf_counter()
-                with obs.span("stage.check"):
+                with stage("check", timings):
                     check_program(expr, strict_valuable=not lenient)
-                timings["check"] = time.perf_counter() - t
-                t = time.perf_counter()
-                with obs.span("stage.archive"):
-                    _archive_roundtrip(expr, str(path), retries, **kwargs)
-                timings["archive"] = time.perf_counter() - t
-                t = time.perf_counter()
-                with obs.span("stage.eval"):
-                    value, output = _eval_stage(expr, backend)
-                timings["eval"] = time.perf_counter() - t
+                with stage("archive", timings):
+                    archive_roundtrip(expr, str(path), retries, **kwargs)
+                with stage("eval", timings):
+                    value, output = evaluate(expr, backend)
                 record["status"] = "ok"
                 record["value"] = to_write_string(value)
                 record["output"] = output
@@ -150,43 +116,6 @@ def run_item(path: str | Path, budget: _limits.Budget | None, *,
     record["timings"] = {name: round(seconds, 6)
                          for name, seconds in timings.items()}
     return record
-
-
-def _eval_stage(expr, backend: str) -> tuple[object, str]:
-    """Evaluate a checked program with the selected backend."""
-    if backend == "pycode":
-        from repro import backend as _backend
-
-        return _backend.compile_program(expr).run()
-    if backend == "machine":
-        from repro.lang.ast import Lit
-        from repro.lang.machine import machine_eval
-
-        final, output = machine_eval(expr)
-        return (final.value if isinstance(final, Lit) else final), output
-    interp = Interpreter()
-    return interp.eval(expr), interp.port.getvalue()
-
-
-def _archive_roundtrip(expr, name: str, retries: int, **kwargs) -> None:
-    """Round-trip a unit-form program through the archive layer.
-
-    Mirrors ``repro demo``: programs whose (invoked) body is a unit
-    exercise the Figure 7 retrieval checks too.  Retrieval runs under
-    :func:`~repro.dynlink.loader.load_with_retry` so a transiently
-    failing archive tier gets ``retries`` extra attempts.
-    """
-    from repro.dynlink.archive import UnitArchive
-    from repro.units.ast import InvokeExpr, UnitExpr
-
-    unit = expr.expr if isinstance(expr, InvokeExpr) else expr
-    if not isinstance(unit, UnitExpr):
-        return
-    archive = UnitArchive()
-    archive.put_unit(name, unit)
-    load_with_retry(
-        lambda: archive.retrieve_untyped(name, unit.imports, unit.exports),
-        retries=retries, **kwargs)
 
 
 def run_batch(paths: Iterable[str | Path],

@@ -1,8 +1,10 @@
 """The benchmark trajectory: cached vs ``--no-term-cache`` pipelines.
 
-``repro bench`` times the whole untyped pipeline — Figure 10 checking,
-static linking, Figure 12 compilation, and big-step evaluation — over
-parameterized workloads, in three configurations:
+``repro bench`` times the stages the commands share — Figure 10
+checking, static linking as ``repro link`` runs it, and evaluation as
+``repro run`` runs it (:func:`repro.pipeline.evaluate` on the checked
+program) — plus the Figure 12 compilation, over parameterized
+workloads, in three configurations:
 
 * **uncached** — the term-performance layer off (what
   ``--no-term-cache`` runs): no memoized free variables, no
@@ -33,15 +35,14 @@ the link server's ``max_depth`` budget because the larger chains nest
 deeper than the ungoverned reader's cap.  The ``digest`` stage times
 the ``tk2`` :func:`~repro.lang.terms.term_key` of a second fresh parse
 of the program, so the pipeline's own keying is left as it was.
-``parse`` and ``digest`` are reported outside ``total``, so totals stay
-comparable with rows that predate them.
+``total`` is ``check + link + eval``; ``parse``, ``digest`` and
+``compile`` (the Figure 12 transform ``repro compile`` prints) are
+reported outside it.
 
 Each case reports best-of-``repeats`` wall seconds per configuration,
 per-stage breakdowns (with ``link.flatten``/``link.optimize``
-sub-timings; compile and eval consume the *linked* program, so
-compound resolution is attributed to ``link``), per-stage
-p50/p90/p99 latency over all repeats (via the telemetry
-:class:`~repro.obs.metrics.Histogram`, so bench and live metrics
+sub-timings), per-stage p50/p90/p99 latency over all repeats (via the
+telemetry :class:`~repro.obs.metrics.Histogram`, so bench and live metrics
 estimate quantiles the same way), and the speedups ``uncached /
 cached`` and ``uncached / warm``.  Results go to
 ``BENCH_results.json``; a ``metrics1`` snapshot (``--snapshot``)
@@ -61,12 +62,12 @@ from typing import Callable
 
 from repro.lang import terms as _terms
 from repro.lang.ast import Expr
-from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_script
 from repro.lang.pretty import show
 from repro.limits import (REQUEST_MAX_DEPTH, Budget, budget_scope,
                           python_recursion_headroom)
 from repro.linking.graph import LinkGraph
+from repro.pipeline import evaluate
 from repro.units.ast import InvokeExpr
 from repro.units.cache import unit_cache_scope
 from repro.units.check import check_program
@@ -141,34 +142,29 @@ def _parse(source: str) -> tuple[Expr, float]:
 
 
 def _pipeline(program: Expr) -> dict[str, float]:
-    """Run check -> link -> compile -> eval, returning stage seconds.
+    """Run check -> link -> eval, then compile; returns stage seconds.
 
-    The *linked* program is what compile and eval consume: compile and
-    eval of the raw program would silently re-resolve every compound,
-    misattributing subgraph re-resolution (the dominant cost of the
-    ``sharing-*`` cases) to the ``compile``/``eval`` stages instead of
-    ``link``.  The link stage also reports its ``flatten``/``optimize``
-    sub-timings as ``link.flatten``/``link.optimize``.
+    ``check`` then ``link`` is the ``repro link`` path (the link stage
+    reports its ``flatten``/``optimize`` sub-timings as
+    ``link.flatten``/``link.optimize``); ``eval`` is the ``repro run``
+    path, :func:`repro.pipeline.evaluate` of the checked program.
+    ``total`` is their sum.  ``compile`` times the Figure 12 transform
+    of the program (the ``repro compile`` path) outside ``total``.
     """
-    stages: dict[str, float] = {}
     link_timings: dict[str, float] = {}
     t0 = time.perf_counter()
     check_program(program, strict_valuable=False)
     t1 = time.perf_counter()
-    linked, _stats = link_and_optimize(program, timings=link_timings)
+    link_and_optimize(program, timings=link_timings)
     t2 = time.perf_counter()
-    compile_expr(linked)
+    evaluate(program)
     t3 = time.perf_counter()
-    Interpreter().eval(linked)
+    compile_expr(program)
     t4 = time.perf_counter()
-    stages["check"] = t1 - t0
-    stages["link"] = t2 - t1
-    stages["link.flatten"] = link_timings.get("flatten", 0.0)
-    stages["link.optimize"] = link_timings.get("optimize", 0.0)
-    stages["compile"] = t3 - t2
-    stages["eval"] = t4 - t3
-    stages["total"] = t4 - t0
-    return stages
+    return {"check": t1 - t0, "link": t2 - t1,
+            "link.flatten": link_timings.get("flatten", 0.0),
+            "link.optimize": link_timings.get("optimize", 0.0),
+            "eval": t3 - t2, "compile": t4 - t3, "total": t3 - t0}
 
 
 def _digest(source: str) -> float:
@@ -266,13 +262,13 @@ def _time_case(name: str, source: str, repeats: int) -> dict[str, object]:
 
 
 def _backend_compare(source: str, repeats: int) -> dict[str, float]:
-    """Interp vs the pycode backend, on the same linked program.
+    """Interp vs the pycode backend, on the same checked program.
 
     Codegen is timed twice inside one fresh cache scope — the cold
     call generates and compiles, the warm call is a content-addressed
-    hit on the program's digest — and eval is best-of-``repeats`` for
-    both evaluators, so the column isolates pure evaluation speed from
-    compilation cost.
+    hit on the program's digest.  Eval is best-of-``repeats`` of
+    :func:`repro.pipeline.evaluate` for both backends, the ``repro
+    run`` path, so the pycode column includes its warm codegen hit.
     """
     from repro import backend as _backend
 
@@ -280,31 +276,29 @@ def _backend_compare(source: str, repeats: int) -> dict[str, float]:
     with unit_cache_scope():
         program, _parse_s = _parse(source)
         check_program(program, strict_valuable=False)
-        linked, _stats = link_and_optimize(program)
 
         t = time.perf_counter()
-        prog = _backend.compile_program(linked)
+        _backend.compile_program(program)
         times["pycode_codegen_s"] = time.perf_counter() - t
         t = time.perf_counter()
-        _backend.compile_program(linked)
+        _backend.compile_program(program)
         times["pycode_codegen_warm_s"] = time.perf_counter() - t
 
         # One untimed run each: the backend's first Runtime pays the
         # process-wide prelude compilation, the interpreter its lazy
         # imports — one-time costs, not eval speed.
-        Interpreter().eval(linked)
-        prog.run()
-        interp_best = pycode_best = float("inf")
+        best = dict.fromkeys(("interp", "pycode"), float("inf"))
+        for name in best:
+            evaluate(program, name)
         for _ in range(max(repeats, 1)):
-            t = time.perf_counter()
-            Interpreter().eval(linked)
-            interp_best = min(interp_best, time.perf_counter() - t)
-            t = time.perf_counter()
-            prog.run()
-            pycode_best = min(pycode_best, time.perf_counter() - t)
-    times["interp_eval_s"] = interp_best
-    times["pycode_eval_s"] = pycode_best
-    times["eval_speedup"] = interp_best / pycode_best if pycode_best else 0.0
+            for name in best:
+                t = time.perf_counter()
+                evaluate(program, name)
+                best[name] = min(best[name], time.perf_counter() - t)
+    times["interp_eval_s"] = best["interp"]
+    times["pycode_eval_s"] = best["pycode"]
+    times["eval_speedup"] = (best["interp"] / best["pycode"]
+                             if best["pycode"] else 0.0)
     return {k: round(v, 6) for k, v in times.items()}
 
 
@@ -334,7 +328,7 @@ def run_bench(quick: bool = False, out: str = "BENCH_results.json",
 
     With ``backend="pycode"`` (the default) every case also carries a
     ``backends`` comparison column: interpreter vs Python-closure
-    backend eval on the same linked program, plus cold/warm codegen
+    backend eval on the same checked program, plus cold/warm codegen
     cost.  ``backend="interp"`` skips the column.
     """
     # The 256-unit chains legitimately recurse deeper than CPython's

@@ -97,6 +97,7 @@ from repro.lang.machine import Machine
 from repro.lang.parser import parse_script
 from repro.lang.pretty import pretty
 from repro.lang.values import to_write_string
+from repro.pipeline import archive_roundtrip, evaluate
 from repro.units.check import check_program
 from repro.units.compile import compile_expr
 
@@ -136,32 +137,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Evaluate an untyped unit program."""
     expr = _load_script(args)
     check_program(expr, strict_valuable=not args.lenient)
-    backend_name = getattr(args, "backend", "interp")
-    if backend_name == "pycode":
-        # The codegen backend runs the statically linked program (the
-        # codegen cache is keyed on the linked digest); linking
-        # preserves behaviour, so the printed result is unchanged.
-        from repro import backend as _backend
-        from repro.units.linker import link_and_optimize
+    result, output = evaluate(expr, args.backend)
+    _print_result(result, output)
+    return 0
 
-        linked, _stats = link_and_optimize(expr)
-        result, output = _backend.compile_program(linked).run()
-    elif backend_name == "machine":
-        from repro.lang.ast import Lit
-        from repro.lang.machine import machine_eval
 
-        final, output = machine_eval(expr)
-        result = final.value if isinstance(final, Lit) else final
-    else:
-        interp = Interpreter()
-        result = interp.eval(expr)
-        output = interp.port.getvalue()
+def _print_result(result: object, output: str, *extra: object) -> None:
+    """Echo a program's displayed output, then ``=> value [extra]``."""
     if output:
         sys.stdout.write(output)
         if not output.endswith("\n"):
             sys.stdout.write("\n")
-    print("=>", to_write_string(result))
-    return 0
+    print("=>", to_write_string(result), *extra)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -188,11 +175,7 @@ def cmd_run_typed(args: argparse.Namespace) -> int:
 
     result, ty, output = run_typed(_read(args.file), origin=args.file,
                                    strict_valuable=not args.lenient)
-    if output:
-        sys.stdout.write(output)
-        if not output.endswith("\n"):
-            sys.stdout.write("\n")
-    print("=>", to_write_string(result), ":", ty)
+    _print_result(result, output, ":", ty)
     return 0
 
 
@@ -351,13 +334,8 @@ def cmd_repl(args: argparse.Namespace) -> int:
                 print(f"defined {name}")
                 continue
             value = interp.eval(parse_expr(datum))
-            flushed = interp.port.getvalue()
-            if flushed:
-                sys.stdout.write(flushed)
-                interp.port.chunks.clear()
-                if not flushed.endswith("\n"):
-                    sys.stdout.write("\n")
-            print("=>", to_write_string(value))
+            _print_result(value, interp.port.getvalue())
+            interp.port.chunks.clear()
         except LangError as err:
             print(f"error: {err}")
 
@@ -371,9 +349,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     interpreter, so a ``--trace`` of it shows events from every family.
     The interpreter and machine results are compared at the end.
     """
+    from repro.lang.ast import Lit
+    from repro.obs import span as _obs_span
     from repro.units.linker import link_and_optimize
-    from repro.units.ast import UnitExpr
-    from repro.dynlink.archive import UnitArchive
 
     expr = _load_script(args)
     check_program(expr, strict_valuable=not args.lenient)
@@ -394,22 +372,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
     # Round-trip the statically linked unit through the archive so the
     # dynamic-linking layer runs too (Figure 7's retrieval checks).
-    from repro.units.ast import InvokeExpr
-
-    unit = linked.expr if isinstance(linked, InvokeExpr) else linked
-    if isinstance(unit, UnitExpr):
-        archive = UnitArchive()
-        archive.put_unit("demo", unit)
-        retrieved = archive.retrieve_untyped(
-            "demo", unit.imports, unit.exports)
-        print(f"dynlink: retrieved 'demo' "
-              f"({len(retrieved.exports)} exports)")
+    retrieved = archive_roundtrip(linked, "demo")
+    if retrieved is not None:
+        print(f"dynlink: retrieved 'demo' ({len(retrieved.exports)} exports)")
     else:
         print("dynlink: skipped (program is not a unit after linking)")
-
-    from repro.lang.ast import Lit
-
-    from repro.obs import span as _obs_span
 
     machine = Machine(max_steps=args.limit)
     state = machine.load(expr)
@@ -428,14 +395,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
             return 3
     print(f"machine: {steps} steps")
 
-    interp = Interpreter()
-    result = interp.eval(expr)
-    output = interp.port.getvalue()
-    if output:
-        sys.stdout.write(output)
-        if not output.endswith("\n"):
-            sys.stdout.write("\n")
-    print("=>", to_write_string(result))
+    result, output = evaluate(expr, "interp")
+    _print_result(result, output)
 
     final = state.control
     if not (isinstance(final, Lit)
@@ -443,19 +404,16 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print("error: interpreter and machine disagree", file=sys.stderr)
         return 1
 
-    if getattr(args, "backend", "interp") == "pycode":
-        # One more evaluator: compile the linked program to Python
-        # closures and hold it to the interpreter's result.  A second
-        # demo run with the same --cache-dir serves the code object
-        # from the pycode store (the check.sh smoke asserts this).
-        from repro import backend as _backend
-
-        program = _backend.compile_program(linked)
-        py_result, py_output = program.run()
-        print(f"pycode: {to_write_string(py_result)}")
-        if (to_write_string(py_result) != to_write_string(result)
-                or py_output != output):
-            print("error: interpreter and pycode backend disagree",
+    if args.backend != "interp":
+        # One more evaluator, held to the interpreter's result: the
+        # checked program, exactly as `repro run --backend` runs it, so
+        # a later pycode demo or run with the same --cache-dir serves
+        # the code object from the pycode store (check.sh asserts it).
+        other, other_output = evaluate(expr, args.backend)
+        print(f"{args.backend}: {to_write_string(other)}")
+        if (to_write_string(other) != to_write_string(result)
+                or other_output != output):
+            print(f"error: interpreter and {args.backend} backend disagree",
                   file=sys.stderr)
             return 1
     return 0

@@ -25,10 +25,12 @@ structured ``error`` responses (:func:`repro.serve.protocol
 .error_response`, exit-code field included); anything else is a
 server bug and propagates to the server's last-resort handler.
 
-Stage boundaries poll the deadline explicitly
-(``budget.check_deadline()``), so a request stalled by a slow source
-or chaos fault converts to a deterministic ``deadline`` exhaustion at
-the next boundary instead of running arbitrarily long.
+The stages run through :func:`repro.pipeline.stage`, the runner
+``repro batch`` shares: each is a ``stage.*`` span nested under
+``serve.request``, and every stage after parse polls the deadline, so
+a request stalled by a slow source or chaos fault converts to a
+deterministic ``deadline`` exhaustion at the next boundary instead of
+running arbitrarily long.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from contextlib import ExitStack, nullcontext
 from typing import TYPE_CHECKING
 
 from repro import limits as _limits
-from repro.batch import RECORDED_ERRORS, _archive_roundtrip, _eval_stage
 from repro.lang.parser import parse_script
 from repro.lang.values import to_write_string
+from repro.pipeline import (RECORDED_ERRORS, archive_roundtrip, evaluate,
+                            stage)
 from repro.serve import chaos as _chaos
 from repro.serve import protocol as _protocol
 from repro.units import cache as _ucache
@@ -93,7 +96,7 @@ def execute_request(req: dict[str, object], store: _ucache.CacheStore,
                     # reap/respawn path is the subject under test.
                     if _chaos._armed:
                         _chaos.worker_kill("serve.request")
-                    value, output = _dispatch(req, budget, timings)
+                    value, output = _dispatch(req, timings)
             except RECORDED_ERRORS as err:
                 sp.annotate(status="error",
                             error=type(err).__name__)
@@ -110,43 +113,35 @@ def execute_request(req: dict[str, object], store: _ucache.CacheStore,
             return response
 
 
-def _dispatch(req: dict[str, object], budget: _limits.Budget,
+def _dispatch(req: dict[str, object],
               timings: dict[str, float]) -> tuple[str, str]:
     """Parse/check/(link|run) under the already-entered scopes."""
     op = req["op"]
-    t = time.perf_counter()
     # Warm requests re-send the same source text, so parse through the
     # content-addressed parse store (keyed on the full text, origin
     # prepended exactly as the archive layer does).
     source = req["source"]
     origin = req["origin"]
-    expr = _ucache.cached_parse(
-        origin + "\x00" + source,
-        lambda: parse_script(source, origin=origin))
-    timings["parse"] = time.perf_counter() - t
-    budget.check_deadline()
-    t = time.perf_counter()
-    check_program(expr, strict_valuable=not req["lenient"])
-    timings["check"] = time.perf_counter() - t
-    budget.check_deadline()
+    with stage("parse", timings):
+        expr = _ucache.cached_parse(
+            origin + "\x00" + source,
+            lambda: parse_script(source, origin=origin))
+    with stage("check", timings):
+        check_program(expr, strict_valuable=not req["lenient"])
     if op == "check":
         return "ok", ""
     if op == "link":
         from repro.lang.pretty import show
         from repro.units.linker import link_and_optimize
 
-        t = time.perf_counter()
-        linked, _stats = link_and_optimize(expr)
-        timings["link"] = time.perf_counter() - t
+        with stage("link", timings):
+            linked, _stats = link_and_optimize(expr)
         return show(linked), ""
     # op == "run": optional archive round-trip (the dynamic-linking
     # surface the slow-load/poison faults target), then evaluate.
     if req["archive"]:
-        t = time.perf_counter()
-        _archive_roundtrip(expr, req["origin"], req["retries"])
-        timings["archive"] = time.perf_counter() - t
-        budget.check_deadline()
-    t = time.perf_counter()
-    value, output = _eval_stage(expr, req["backend"])
-    timings["eval"] = time.perf_counter() - t
+        with stage("archive", timings):
+            archive_roundtrip(expr, origin, req["retries"])
+    with stage("eval", timings):
+        value, output = evaluate(expr, req["backend"])
     return to_write_string(value), output

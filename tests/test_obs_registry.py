@@ -1,7 +1,8 @@
 """Registry lint: the source tree and ``obs.events.KINDS`` agree.
 
 Every event kind the library emits (via ``emit(...)`` or ``span(...)``
-with a literal kind string) must be registered in
+with a literal kind string, or ``stage(...)`` with a literal stage
+name) must be registered in
 :data:`repro.obs.events.KINDS`, and every registered kind must actually
 be emitted somewhere — a stale registry is as misleading as a missing
 one.  Kinds that are only produced with computed names go on the
@@ -32,6 +33,10 @@ WHITELIST: frozenset[str] = frozenset({
 # Collector methods (col.emit, col.span), but not build_spans(events).
 _CALL = re.compile(r"""(?:emit|span)\(\s*["']([a-z_]+\.[a-z_]+)["']""")
 
+# A literal stage name as the first argument of a
+# repro.pipeline.stage(...) call, which opens the span "stage.<name>".
+_STAGE_CALL = re.compile(r"""\bstage\(\s*["']([a-z_]+)["']""")
+
 # A gauge name literal (plain or f-string prefix) as the first argument
 # of a gauge(...) call.  Computed instance suffixes ("cache.occupancy."
 # + self.name, f"budget.headroom.{resource}") leave the registered
@@ -43,7 +48,10 @@ def _emitted_kinds() -> dict[str, set[str]]:
     """kind -> set of src-relative files where it is emitted."""
     found: dict[str, set[str]] = {}
     for path in sorted(SRC.rglob("*.py")):
-        for kind in _CALL.findall(path.read_text(encoding="utf-8")):
+        text = path.read_text(encoding="utf-8")
+        kinds = _CALL.findall(text) + [
+            "stage." + name for name in _STAGE_CALL.findall(text)]
+        for kind in kinds:
             found.setdefault(kind, set()).add(
                 str(path.relative_to(SRC)))
     return found
